@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import bounds, designs
 from .bounds import BoundReport, _render
@@ -21,7 +22,6 @@ from .ekr import (
     enumerate_maximal_ekr,
     find_onan,
     max_ekr_size,
-    maximal_family_sizes,
 )
 from .errors import DomainError
 
@@ -62,18 +62,60 @@ def _summary(design: Design, spec: str) -> dict:
     return {"source": spec, "v": p.v, "k": p.k, "b": p.b, "r": p.r}
 
 
-def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _scalar(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (dict, list)):
+        return json.dumps(v, separators=(",", ":"))
+    return str(v)
 
 
 def _csv_row(cells) -> str:
     out = []
     for c in cells:
-        c = str(c)
+        c = _scalar(c)
         if any(ch in c for ch in ',"\n'):
             c = '"' + c.replace('"', '""') + '"'
         out.append(c)
     return ",".join(out) + "\n"
+
+
+def _flat_text(payload: dict) -> str:
+    lines = []
+    for key, val in payload.items():
+        if isinstance(val, dict):
+            cell = " ".join(f"{k}={_scalar(v)}" for k, v in val.items())
+        elif isinstance(val, list):
+            cell = "; ".join(_scalar(v) for v in val)
+        else:
+            cell = _scalar(val)
+        lines.append(f"{key}: {cell}\n")
+    return "".join(lines)
+
+
+def _emit(fmt: str, payload: dict, header=None, rows=None, text=None) -> int:
+    """Write a verb's result to stdout in the chosen format.
+
+    json dumps the payload; csv writes header and rows; text writes the text
+    lines.  Without header or text, csv is one row of the payload's keys and
+    values and text is one ``key: value`` line per key.
+    """
+    if fmt == "json":
+        out = json.dumps(payload, indent=2) + "\n"
+    elif fmt == "csv":
+        if header is None:
+            header, rows = list(payload), [list(payload.values())]
+        out = "".join(_csv_row(r) for r in [header, *rows])
+    elif text is None:
+        out = _flat_text(payload)
+    else:
+        out = "".join(line + "\n" for line in text)
+    sys.stdout.write(out)
+    return 0
+
+
+def _ids(blocks) -> str:
+    return " ".join(map(str, blocks))
 
 
 def _workers(args) -> int:
@@ -101,66 +143,48 @@ def _cmd_generate(args) -> int:
 
 def _cmd_validate(args) -> int:
     design = _parse_design(args.design)
-    info = _summary(design, args.design)
-    info["valid"] = True
-    if args.format == "json":
-        _print_json(info)
-    elif args.format == "csv":
-        sys.stdout.write(_csv_row(["v", "k", "b", "r", "valid"]))
-        sys.stdout.write(_csv_row([info["v"], info["k"], info["b"], info["r"], "true"]))
-    else:
-        sys.stdout.write(
+    info = {**_summary(design, args.design), "valid": True}
+    header = ["v", "k", "b", "r", "valid"]
+    return _emit(
+        args.format,
+        info,
+        header,
+        [[info[h] for h in header]],
+        [
             f"valid 2-({info['v']},{info['k']},1) design: "
-            f"{info['b']} blocks, replication {info['r']}\n"
-        )
-    return 0
+            f"{info['b']} blocks, replication {info['r']}"
+        ],
+    )
 
 
 def _cmd_enumerate(args) -> int:
     design = _parse_design(args.design)
-    workers = _workers(args)
-    if args.size_only:
-        sizes = maximal_family_sizes(design, min_size=args.min_size, workers=workers)
-        if args.format == "json":
-            _print_json(
-                {
-                    "design": _summary(design, args.design),
-                    "min_size": args.min_size,
-                    "sizes": {str(s): c for s, c in sizes.items()},
-                }
-            )
-        elif args.format == "csv":
-            sys.stdout.write(_csv_row(["size", "count"]))
-            for s, c in sizes.items():
-                sys.stdout.write(_csv_row([s, c]))
-        else:
-            sys.stdout.write(f"maximal families with at least {args.min_size} blocks:\n")
-            for s, c in sizes.items():
-                sys.stdout.write(f"  size {s}: {c}\n")
-        return 0
     families = enumerate_maximal_ekr(
-        design, min_size=args.min_size, max_count=args.max_count, workers=workers
+        design, min_size=args.min_size, max_count=args.max_count, workers=_workers(args)
     )
-    if args.format == "json":
-        _print_json(
-            {
-                "design": _summary(design, args.design),
-                "min_size": args.min_size,
-                "count": len(families),
-                "families": [
-                    {"size": len(f), "blocks": list(f.indices())} for f in families
-                ],
-            }
+    head = {"design": _summary(design, args.design), "min_size": args.min_size}
+    if args.size_only:
+        sizes = sorted(Counter(map(len, families)).items(), reverse=True)
+        return _emit(
+            args.format,
+            {**head, "sizes": {str(s): c for s, c in sizes}},
+            ["size", "count"],
+            sizes,
+            [f"maximal families with at least {args.min_size} blocks:"]
+            + [f"  size {s}: {c}" for s, c in sizes],
         )
-    elif args.format == "csv":
-        sys.stdout.write(_csv_row(["size", "blocks"]))
-        for f in families:
-            sys.stdout.write(_csv_row([len(f), " ".join(map(str, f.indices()))]))
-    else:
-        sys.stdout.write(f"maximal families: {len(families)}\n")
-        for f in families:
-            sys.stdout.write(f"  [{len(f)}] {' '.join(map(str, f.indices()))}\n")
-    return 0
+    listed = [(len(f), f.indices()) for f in families]
+    return _emit(
+        args.format,
+        {
+            **head,
+            "count": len(listed),
+            "families": [{"size": s, "blocks": list(ix)} for s, ix in listed],
+        },
+        ["size", "blocks"],
+        [[s, _ids(ix)] for s, ix in listed],
+        [f"maximal families: {len(listed)}"] + [f"  [{s}] {_ids(ix)}" for s, ix in listed],
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -169,225 +193,171 @@ def _cmd_classify(args) -> int:
         design, min_size=args.min_size, max_count=args.max_count, workers=_workers(args)
     )
     report = classification_report(design, families, source=args.design)
-    if args.format == "json":
-        _print_json(report)
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_row(["label", "size", "count", "covered", "max_multiplicity", "witness"])
+    types = report["types"]
+    text = [f"types: {len(types)} (maximal families: {report['family_count']})"]
+    for t in types:
+        text.append(
+            f"  {t['label']}: size {t['size']}, count {t['count']}, "
+            f"covered {t['covered']}, max multiplicity {t['max_multiplicity']}"
         )
-        for t in report["types"]:
-            sys.stdout.write(
-                _csv_row(
-                    [
-                        t["label"],
-                        t["size"],
-                        t["count"],
-                        t["covered"],
-                        t["max_multiplicity"],
-                        " ".join(map(str, t["witness"])),
-                    ]
-                )
-            )
-    else:
-        sys.stdout.write(
-            f"types: {len(report['types'])} (maximal families: {report['family_count']})\n"
-        )
-        for t in report["types"]:
-            sys.stdout.write(
-                f"  {t['label']}: size {t['size']}, count {t['count']}, "
-                f"covered {t['covered']}, max multiplicity {t['max_multiplicity']}\n"
-            )
-            sys.stdout.write(f"    witness: {' '.join(map(str, t['witness']))}\n")
-    return 0
+        text.append(f"    witness: {_ids(t['witness'])}")
+    header = ["label", "size", "count", "covered", "max_multiplicity", "witness"]
+    rows = [[t[h] for h in header[:-1]] + [_ids(t["witness"])] for t in types]
+    return _emit(args.format, report, header, rows, text)
 
 
 def _cmd_onan(args) -> int:
     design = _parse_design(args.design)
     witness = find_onan(design)
-    if args.format == "json":
-        _print_json(
-            {
-                "design": _summary(design, args.design),
-                "found": witness is not None,
-                "blocks": list(witness) if witness else None,
-            }
-        )
-    elif args.format == "csv":
-        sys.stdout.write(_csv_row(["found", "blocks"]))
-        sys.stdout.write(
-            _csv_row(
-                ["true", " ".join(map(str, witness))] if witness else ["false", ""]
-            )
-        )
-    else:
-        if witness:
-            sys.stdout.write(f"o'nan configuration: blocks {' '.join(map(str, witness))}\n")
-        else:
-            sys.stdout.write("o'nan configuration: none\n")
-    return 0
+    found = witness is not None
+    return _emit(
+        args.format,
+        {
+            "design": _summary(design, args.design),
+            "found": found,
+            "blocks": list(witness) if found else None,
+        },
+        ["found", "blocks"],
+        [[found, _ids(witness or ())]],
+        [f"o'nan configuration: blocks {_ids(witness)}" if found else "o'nan configuration: none"],
+    )
 
 
 def _cmd_max_size(args) -> int:
     design = _parse_design(args.design)
     best = max_ekr_size(design)
-    if args.format == "json":
-        _print_json(
-            {
-                "design": _summary(design, args.design),
-                "size": len(best),
-                "witness": list(best.indices()),
-            }
-        )
-    elif args.format == "csv":
-        sys.stdout.write(_csv_row(["size", "witness"]))
-        sys.stdout.write(_csv_row([len(best), " ".join(map(str, best.indices()))]))
-    else:
-        sys.stdout.write(f"maximum family size: {len(best)}\n")
-        sys.stdout.write(f"  witness: {' '.join(map(str, best.indices()))}\n")
-    return 0
+    witness = best.indices()
+    return _emit(
+        args.format,
+        {"design": _summary(design, args.design), "size": len(best), "witness": list(witness)},
+        ["size", "witness"],
+        [[len(best), _ids(witness)]],
+        [f"maximum family size: {len(best)}", f"  witness: {_ids(witness)}"],
+    )
 
 
 # -- parameter verbs ---------------------------------------------------------
 
 
-def _require(parser, args, formula, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        parser.error(f"formula '{formula}' needs {' '.join('--' + n for n in missing)}")
+def _multiplicity_cap(a) -> dict:
+    value = bounds.multiplicity_cap_bound(a.k, a.max_mult)
+    return BoundReport(
+        "multiplicity-cap", {"k": a.k, "max_mult": a.max_mult}, value, value
+    ).as_json()
 
 
-def _bound_payload(parser, args) -> dict:
-    f = args.formula
-    if f == "counting":
-        _require(parser, args, f, ["k", "r", "excess"])
-        return bounds.counting_bound(args.k, args.r, args.excess).as_json()
-    if f == "counting-deficit":
-        _require(parser, args, f, ["k", "deficit", "excess"])
-        return bounds.counting_bound_deficit(args.k, args.deficit, args.excess).as_json()
-    if f == "multiplicity-cap":
-        _require(parser, args, f, ["k", "max-mult"])
-        value = bounds.multiplicity_cap_bound(args.k, args.max_mult)
-        return BoundReport(
-            "multiplicity-cap", {"k": args.k, "max_mult": args.max_mult}, value, value
-        ).as_json()
-    if f == "cover-range":
-        _require(parser, args, f, ["k", "shortfall"])
-        lo, hi = bounds.cover_range_submax(args.k, args.shortfall)
-        return {
-            "formula": "cover-range",
-            "inputs": {"k": args.k, "shortfall": args.shortfall},
-            "low": _render(lo),
-            "high": _render(hi),
-        }
-    if f == "replication":
-        _require(parser, args, f, ["k", "r"])
-        verdict = bounds.replication_threshold(args.k, args.r)
-        return {
-            "formula": "replication",
-            "inputs": {"k": args.k, "r": args.r},
-            "threshold": args.k * args.k - args.k + 1,
-            "verdict": verdict.value,
-        }
-    if f == "near-extremal":
-        _require(parser, args, f, ["k", "r"])
-        verdict = bounds.near_extremal_threshold(args.k, args.r)
-        return {
-            "formula": "near-extremal",
-            "inputs": {"k": args.k, "r": args.r},
-            "window_low": _render(bounds.near_extremal_cutoff(args.k)),
-            "window_high": args.k * args.k - args.k,
-            "verdict": verdict.value,
-        }
-    if f == "unital-counting":
-        _require(parser, args, f, ["q", "excess"])
-        return bounds.unital_counting_bound(args.q, args.excess).as_json()
-    if f == "unital-second":
-        _require(parser, args, f, ["q"])
-        return bounds.unital_second_max_bound(args.q).as_json()
-    if f == "pencil-uniqueness":
-        _require(parser, args, f, ["k", "v"])
-        met = bounds.pencil_uniqueness_threshold(args.k, args.v)
-        return {
-            "formula": "pencil-uniqueness",
-            "inputs": {"k": args.k, "v": args.v},
-            "threshold": 1 + args.k * args.k * (args.k - 1),
-            "met": met,
-        }
-    if f == "discriminant":
-        _require(parser, args, f, ["k", "excess"])
-        value = bounds.discriminant(args.excess, args.k)
-        return {
+def _cover_range(a) -> dict:
+    lo, hi = bounds.cover_range_submax(a.k, a.shortfall)
+    return {
+        "formula": "cover-range",
+        "inputs": {"k": a.k, "shortfall": a.shortfall},
+        "low": _render(lo),
+        "high": _render(hi),
+    }
+
+
+def _replication(a) -> dict:
+    verdict = bounds.replication_threshold(a.k, a.r)
+    return {
+        "formula": "replication",
+        "inputs": {"k": a.k, "r": a.r},
+        "threshold": a.k * a.k - a.k + 1,
+        "verdict": verdict.value,
+    }
+
+
+def _near_extremal(a) -> dict:
+    verdict = bounds.near_extremal_threshold(a.k, a.r)
+    return {
+        "formula": "near-extremal",
+        "inputs": {"k": a.k, "r": a.r},
+        "window_low": _render(bounds.near_extremal_cutoff(a.k)),
+        "window_high": a.k * a.k - a.k,
+        "verdict": verdict.value,
+    }
+
+
+def _pencil_uniqueness(a) -> dict:
+    met = bounds.pencil_uniqueness_threshold(a.k, a.v)
+    return {
+        "formula": "pencil-uniqueness",
+        "inputs": {"k": a.k, "v": a.v},
+        "threshold": 1 + a.k * a.k * (a.k - 1),
+        "met": met,
+    }
+
+
+# formula -> (options it needs, payload builder); the --formula choices
+_FORMULAS = {
+    "counting": (
+        ["k", "r", "excess"],
+        lambda a: bounds.counting_bound(a.k, a.r, a.excess).as_json(),
+    ),
+    "counting-deficit": (
+        ["k", "deficit", "excess"],
+        lambda a: bounds.counting_bound_deficit(a.k, a.deficit, a.excess).as_json(),
+    ),
+    "multiplicity-cap": (["k", "max-mult"], _multiplicity_cap),
+    "cover-range": (["k", "shortfall"], _cover_range),
+    "replication": (["k", "r"], _replication),
+    "near-extremal": (["k", "r"], _near_extremal),
+    "unital-counting": (
+        ["q", "excess"],
+        lambda a: bounds.unital_counting_bound(a.q, a.excess).as_json(),
+    ),
+    "unital-second": (["q"], lambda a: bounds.unital_second_max_bound(a.q).as_json()),
+    "pencil-uniqueness": (["k", "v"], _pencil_uniqueness),
+    "discriminant": (
+        ["k", "excess"],
+        lambda a: {
             "formula": "discriminant",
-            "inputs": {"k": args.k, "b": args.excess},
-            "value": value,
-        }
-    parser.error(f"unknown formula '{f}'")
+            "inputs": {"k": a.k, "b": a.excess},
+            "value": bounds.discriminant(a.excess, a.k),
+        },
+    ),
+}
 
 
-def _flat_text(payload: dict) -> str:
-    lines = []
-    for key, val in payload.items():
-        if isinstance(val, dict):
-            cell = " ".join(f"{k}={_scalar(v)}" for k, v in val.items())
-        elif isinstance(val, list):
-            cell = "; ".join(_scalar(v) for v in val)
-        else:
-            cell = _scalar(val)
-        lines.append(f"{key}: {cell}\n")
-    return "".join(lines)
-
-
-def _scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (dict, list)):
-        return json.dumps(v, separators=(",", ":"))
-    return str(v)
-
-
-def _emit_payload(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        _print_json(payload)
-    elif fmt == "csv":
-        keys = list(payload)
-        sys.stdout.write(_csv_row(keys))
-        sys.stdout.write(_csv_row([_scalar(payload[k]) for k in keys]))
+def _deficit_grid(a) -> dict:
+    if a.k == "all":
+        k = "all"
     else:
-        sys.stdout.write(_flat_text(payload))
+        try:
+            k = int(a.k)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"--k must be an integer or 'all', got {a.k!r}"
+            ) from None
+    return bounds.sweep_deficit_grid(k).as_json()
 
 
-def _cmd_bound(parser):
+# check -> (options it needs, payload builder); the --check choices
+_CHECKS = {
+    "deficit-grid": (["k"], _deficit_grid),
+    "large-k": ([], lambda a: bounds.sweep_large_k(k_max=a.k_max).as_json()),
+    "moments": (
+        ["l", "a", "excess", "r"],
+        lambda a: bounds.certify_moment_inequality(
+            a.l, a.a, a.excess, a.r, budget=a.budget
+        ).as_json(),
+    ),
+}
+
+
+def _cmd_table(parser, table: dict, choice: str):
+    """bound and sweep: check the chosen entry's options, then emit its payload."""
+
     def run(args) -> int:
-        _emit_payload(_bound_payload(parser, args), args.format)
-        return 0
-
-    return run
-
-
-def _cmd_sweep(parser):
-    def run(args) -> int:
-        c = args.check
-        if c == "deficit-grid":
-            _require(parser, args, c, ["k"])
-            if args.k == "all":
-                k = "all"
-            else:
-                try:
-                    k = int(args.k)
-                except ValueError:
-                    parser.error(f"--k must be an integer or 'all', got {args.k!r}")
-            cert = bounds.sweep_deficit_grid(k)
-        elif c == "large-k":
-            cert = bounds.sweep_large_k(k_max=args.k_max)
-        elif c == "moments":
-            _require(parser, args, c, ["l", "a", "excess", "r"])
-            cert = bounds.certify_moment_inequality(
-                args.l, args.a, args.excess, args.r, budget=args.budget
-            )
-        else:
-            parser.error(f"unknown check '{c}'")
-        _emit_payload(cert.as_json(), args.format)
-        return 0
+        name = getattr(args, choice)
+        needs, build = table[name]
+        missing = [n for n in needs if getattr(args, n.replace("-", "_")) is None]
+        if missing:
+            parser.error(f"formula '{name}' needs {' '.join('--' + n for n in missing)}")
+        try:
+            payload = build(args)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
+        return _emit(args.format, payload)
 
     return run
 
@@ -439,22 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_max_size)
 
     p = sub.add_parser("bound", help="evaluate one bound or threshold exactly")
-    p.add_argument(
-        "--formula",
-        required=True,
-        choices=[
-            "counting",
-            "counting-deficit",
-            "multiplicity-cap",
-            "cover-range",
-            "replication",
-            "near-extremal",
-            "unital-counting",
-            "unital-second",
-            "pencil-uniqueness",
-            "discriminant",
-        ],
-    )
+    p.add_argument("--formula", required=True, choices=list(_FORMULAS))
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--q", type=int)
@@ -464,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-mult", type=int)
     p.add_argument("--shortfall", type=int)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=_cmd_bound(p))
+    p.set_defaults(func=_cmd_table(p, _FORMULAS, "formula"))
 
     p = sub.add_parser("sweep", help="run an inequality sweep and print its certificate")
-    p.add_argument("--check", required=True, choices=["deficit-grid", "large-k", "moments"])
+    p.add_argument("--check", required=True, choices=list(_CHECKS))
     p.add_argument("--k", help="block size, or 'all' for the whole table")
     p.add_argument("--k-max", type=int, default=50)
     p.add_argument("--l", type=int)
@@ -476,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=_cmd_sweep(p))
+    p.set_defaults(func=_cmd_table(p, _CHECKS, "check"))
 
     return parser
 
@@ -488,10 +443,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -142,6 +142,30 @@ class Design:
             out.append(m)
         return tuple(out)
 
+    @cached_property
+    def intersection_adjacency(self) -> tuple[int, ...]:
+        """Per block, the bitmask of other blocks sharing a point with it."""
+        adj = [0] * self.b
+        for through in self.incidence:
+            m = 0
+            for j in through:
+                m |= 1 << j
+            for j in through:
+                adj[j] |= m
+        for j in range(self.b):
+            adj[j] &= ~(1 << j)
+        return tuple(adj)
+
+    @cached_property
+    def pair_points(self) -> dict[tuple[int, int], int]:
+        """The unique common point of each intersecting block pair (i < j)."""
+        table: dict[tuple[int, int], int] = {}
+        for p, through in enumerate(self.incidence):
+            for a in range(len(through)):
+                for b in range(a + 1, len(through)):
+                    table[(through[a], through[b])] = p
+        return table
+
     def block_index(self, block) -> int:
         """Index of a block given as an iterable of points."""
         key = tuple(sorted(block))
@@ -159,11 +183,6 @@ class Design:
     def __repr__(self):
         tag = self.name or "design"
         return f"<{tag}: 2-({self.v},{self.k},1), b={self.b}>"
-
-
-def validate(v: int, k: int, blocks, name: str | None = None) -> Design:
-    """Construct a design, raising a diagnostic on the first axiom violation."""
-    return Design(v, k, blocks, name=name)
 
 
 # -- constructors ---------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .canon import canonical_code
 from .designs import Design
@@ -110,30 +109,9 @@ class EkrType:
     code: str
 
 
-@lru_cache(maxsize=None)
 def intersection_adjacency(design: Design) -> tuple[int, ...]:
     """Per block, the bitmask of other blocks sharing a point with it."""
-    adj = [0] * design.b
-    for through in design.incidence:
-        m = 0
-        for j in through:
-            m |= 1 << j
-        for j in through:
-            adj[j] |= m
-    for j in range(design.b):
-        adj[j] &= ~(1 << j)
-    return tuple(adj)
-
-
-@lru_cache(maxsize=None)
-def _pair_points(design: Design) -> dict[tuple[int, int], int]:
-    """The unique common point of each intersecting block pair (i < j)."""
-    table: dict[tuple[int, int], int] = {}
-    for p, through in enumerate(design.incidence):
-        for a in range(len(through)):
-            for b in range(a + 1, len(through)):
-                table[(through[a], through[b])] = p
-    return table
+    return design.intersection_adjacency
 
 
 def is_intersecting(family: BlockSet) -> bool:
@@ -307,7 +285,11 @@ def enumerate_maximal_ekr(
 def maximal_family_sizes(
     design: Design, min_size: int = 1, workers: int = 1
 ) -> dict[int, int]:
-    """Size histogram of the maximal-family stream, without storing families."""
+    """Size histogram of the maximal families, largest size first.
+
+    The families are enumerated into a list first, so memory grows with
+    their number.
+    """
     sizes: dict[int, int] = {}
     for fam in enumerate_maximal_ekr(design, min_size=min_size, workers=workers):
         sizes[len(fam)] = sizes.get(len(fam), 0) + 1
@@ -368,7 +350,7 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
     so the first configuration in lexicographic order is returned.
     """
     adj = intersection_adjacency(design)
-    pairs = _pair_points(design)
+    pairs = design.pair_points
     n = design.b
     for a in range(n):
         na = adj[a] >> (a + 1) << (a + 1)
@@ -407,20 +389,27 @@ def has_onan(design: Design) -> bool:
 # -- classification ---------------------------------------------------------
 
 
-def _label(design: Design, size: int, profile: CoverProfile, code: str) -> str:
-    k = design.k
+def _shape(design: Design, size: int, profile: CoverProfile) -> str | None:
+    """The family's shape: "point-pencil", "triangle", or None for neither."""
     if profile.k_s == size:
         return "point-pencil"
-    if k == 3:
-        return f"EKR_{size}"
-    if size == k + 1 and profile.k_s == k:
+    if size == design.k + 1 and profile.k_s == design.k:
         return "triangle"
+    return None
+
+
+def _label(design: Design, size: int, profile: CoverProfile, code: str) -> str:
+    shape = _shape(design, size, profile)
+    if design.k == 3 and shape != "point-pencil":
+        return f"EKR_{size}"
+    if shape:
+        return shape
     digest = hashlib.sha256(code.encode()).hexdigest()[:8]
     return f"type-s{size}-{digest}"
 
 
-def classify(design: Design, families) -> list[tuple[EkrType, int]]:
-    """Group families by the isomorphism type of their induced structures."""
+def _group(design: Design, families) -> list[list]:
+    """[type, count, first family] per isomorphism type, by (-size, code)."""
     groups: dict[str, list] = {}
     for fam in families:
         code = canonical_code(fam)
@@ -428,36 +417,33 @@ def classify(design: Design, families) -> list[tuple[EkrType, int]]:
         if entry is None:
             profile = cover_profile(fam)
             etype = EkrType(_label(design, len(fam), profile, code), len(fam), profile, code)
-            groups[code] = [etype, 0]
-        groups[code][1] += 1
-    out = [(etype, count) for etype, count in groups.values()]
-    out.sort(key=lambda tc: (-tc[0].size, tc[0].code))
-    return out
+            entry = groups[code] = [etype, 0, fam]
+        entry[1] += 1
+    return sorted(groups.values(), key=lambda e: (-e[0].size, e[0].code))
+
+
+def classify(design: Design, families) -> list[tuple[EkrType, int]]:
+    """Group families by the isomorphism type of their induced structures."""
+    return [(etype, count) for etype, count, _ in _group(design, families)]
 
 
 def classification_report(design: Design, families, source: str | None = None) -> dict:
     """JSON-ready classification summary with one witness family per type."""
-    groups: dict[str, dict] = {}
-    total = 0
-    for fam in families:
-        total += 1
-        code = canonical_code(fam)
-        entry = groups.get(code)
-        if entry is None:
-            profile = cover_profile(fam)
-            groups[code] = {
-                "label": _label(design, len(fam), profile, code),
-                "size": len(fam),
-                "count": 1,
-                "covered": profile.covered,
-                "max_multiplicity": profile.k_s,
-                "k_hist": {str(i): profile.k_hist[i] for i in range(1, len(profile.k_hist)) if profile.k_hist[i]},
-                "canonical_code": code,
-                "witness": list(fam.indices()),
+    types = []
+    for etype, count, witness in _group(design, families):
+        hist = etype.profile.k_hist
+        types.append(
+            {
+                "label": etype.label,
+                "size": etype.size,
+                "count": count,
+                "covered": etype.profile.covered,
+                "max_multiplicity": etype.profile.k_s,
+                "k_hist": {str(i): hist[i] for i in range(1, len(hist)) if hist[i]},
+                "canonical_code": etype.code,
+                "witness": list(witness.indices()),
             }
-        else:
-            entry["count"] += 1
-    types = sorted(groups.values(), key=lambda t: (-t["size"], t["canonical_code"]))
+        )
     params = design.params
     return {
         "design": {
@@ -467,7 +453,7 @@ def classification_report(design: Design, families, source: str | None = None) -
             "b": params.b,
             "r": params.r,
         },
-        "family_count": total,
+        "family_count": sum(t["count"] for t in types),
         "types": types,
     }
 
@@ -495,16 +481,15 @@ def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
         raise HasONan(witness)
     if families is None:
         families = enumerate_maximal_ekr(design)
-    k = design.k
     pencils = 0
     triangles = 0
     for fam in families:
-        profile = cover_profile(fam)
-        if profile.k_s == len(fam):
+        shape = _shape(design, len(fam), cover_profile(fam))
+        if shape == "point-pencil":
             pencils += 1
-        elif len(fam) == k + 1 and profile.k_s == k:
+        elif shape == "triangle":
             triangles += 1
-        elif design.r == k and len(fam) == design.b:
+        elif design.r == design.k and len(fam) == design.b:
             # every two blocks meet, so the single maximal family is all blocks
             return OnanFreeVerdict(
                 True, pencils, triangles, note="all blocks form the single maximal family"

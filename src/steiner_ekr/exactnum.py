@@ -18,19 +18,6 @@ Rational = Fraction
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-    return [i for i in range(limit + 1) if flags[i]]
-
-
-# Square factors p*p below 10**6 get pulled out of radicands, so p <= 999.
-_SMALL_PRIMES = _sieve(999)
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -114,22 +101,6 @@ class SurdExpr:
     @classmethod
     def sqrt(cls, n: int, coef=1, shift=0) -> "SurdExpr":
         return cls(_frac(shift), _frac(coef), n)
-
-    def normalized(self) -> "SurdExpr":
-        """Pull square prime factors below 10**6 out of the radicand."""
-        a, b, n = self.a, self.b, self.n
-        if b == 0 or n == 0:
-            return SurdExpr(a, Fraction(0), 0)
-        for p in _SMALL_PRIMES:
-            pp = p * p
-            if pp > n:
-                break
-            while n % pp == 0:
-                n //= pp
-                b *= p
-        if n == 1:
-            return SurdExpr(a + b, Fraction(0), 0)
-        return SurdExpr(a, b, n)
 
     def plus(self, x) -> "SurdExpr":
         return SurdExpr(self.a + _frac(x), self.b, self.n)

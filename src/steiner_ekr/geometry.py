@@ -278,9 +278,6 @@ class Field:
         q1 = self.order - 1
         return self._exp[(self._log[x] * k) % q1]
 
-    def frobenius(self, x: int) -> int:
-        return self.pow(x, self.p)
-
     @property
     def elements(self) -> range:
         return range(self.order)

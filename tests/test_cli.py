@@ -105,9 +105,12 @@ def test_enumerate_min_size_csv(capsys):
 
 
 def test_enumerate_budget_exit(capsys):
-    code, out, err = run(capsys, "enumerate", "--design", "sts13:1", "--max-count", "10")
-    assert code == 1 and out == ""
-    assert err.startswith("error: 201 maximal families exceed")
+    for mode in ((), ("--size-only",)):
+        code, out, err = run(
+            capsys, "enumerate", "--design", "sts13:1", "--max-count", "10", *mode
+        )
+        assert code == 1 and out == "", mode
+        assert err.startswith("error: 201 maximal families exceed"), mode
 
 
 def test_classify_json_sts13(capsys):

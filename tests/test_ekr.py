@@ -5,7 +5,9 @@ against a brute-force maximal-clique scan on every design small enough to
 admit one; the larger designs are pinned so any behavioural drift surfaces.
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -74,6 +76,16 @@ def test_intersection_adjacency_matches_block_overlap():
         assert bool((adj[i] >> j) & 1) == meets
         assert bool((adj[j] >> i) & 1) == meets
     assert all(not (adj[i] >> i) & 1 for i in range(d.b))
+
+
+def test_analysed_designs_are_freed():
+    d = se.hermitian_unital(3)
+    assert len(intersection_adjacency(d)) == 63
+    assert find_onan(d) is None
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
 
 
 # -- hand-built families -----------------------------------------------------

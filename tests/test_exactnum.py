@@ -106,13 +106,6 @@ def test_cmp_spot_values():
     assert surd_sign(-3, 1, 10) == 1
 
 
-def test_normalized_extracts_square_factors():
-    assert SurdExpr(0, 1, 8).normalized() == SurdExpr(0, 2, 2)
-    assert SurdExpr(0, 1, 0).normalized() == SurdExpr(0, 0, 0)
-    assert SurdExpr(2, 3, 1).normalized() == SurdExpr(5, 0, 0)
-    assert SurdExpr(1, F(1, 2), 12).normalized() == SurdExpr(1, 1, 3)
-
-
 def test_cubed():
     # (1 + sqrt(2))^3 = 7 + 5 sqrt(2)
     assert SurdExpr(1, 1, 2).cubed() == SurdExpr(7, 5, 2)
