@@ -6,10 +6,25 @@ block size k, by its concurrency classes: for each point on at least two
 members, the set of member positions through it.  Canonical labeling of that
 set system therefore canonises the whole induced structure.
 
-The search is individualisation-refinement over block positions with orbit
-pruning from automorphisms discovered along the way, which keeps highly
-symmetric inputs (pencils, full plane line sets) cheap.  The code is the
-minimum, over admissible relabelings, of the sorted relabeled class list.
+The search is individualisation-refinement over block positions: refine to a
+stable colouring, individualise each member of the first non-singleton cell
+in colour order, recurse.  A leaf's code is the sorted class list relabelled
+by its discrete colouring, and the canonical form is the minimum leaf code
+over the whole tree.  Two prunes skip only subtrees whose codes already
+occur, so the minimum never changes (McKay & Piperno, "Practical graph
+isomorphism II", arXiv:1301.1493):
+
+- Backjumping.  A leaf whose code equals the best one yields an automorphism
+  that maps its path onto the best leaf's path.  It fixes the two paths'
+  common prefix and carries the rest of the current subtree onto the sibling
+  subtree searched before, so the search resumes at the branch point.
+- Per-node orbits.  Each node keeps the automorphisms found so far that fix
+  its individualised prefix, and the closure of its visited children under
+  them; a child in that closure is skipped.  Both grow only when a new
+  automorphism turns up.
+
+Together they keep highly symmetric inputs (pencils, full plane line sets)
+cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
 """
 
 from __future__ import annotations
@@ -42,6 +57,17 @@ def _individualize(colors: list[int], x: int) -> list[int]:
     return [rank[key] for key in keyed]
 
 
+def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) -> None:
+    """Grow orbit in place to its closure under gens, starting from frontier."""
+    while frontier:
+        y = frontier.pop()
+        for g in gens:
+            z = g[y]
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+
+
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a set system over ground set 0..s-1."""
     subs = [frozenset(S) for S in subsets]
@@ -53,41 +79,37 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
             mem[e].append(si)
 
     best_code: tuple | None = None
-    best_pos: list[int] | None = None
+    inv_best: list[int] = []
+    best_path: list[int] = []
     autos: list[tuple[int, ...]] = []
+    known: set[tuple[int, ...]] = set()
 
-    def visit_leaf(colors: list[int]):
-        nonlocal best_code, best_pos
+    def visit_leaf(colors: list[int], fixed: list[int]) -> int:
+        nonlocal best_code, inv_best, best_path
         code = tuple(sorted(tuple(sorted(colors[e] for e in S)) for S in subs))
         if best_code is None or code < best_code:
             best_code = code
-            best_pos = list(colors)
-        elif code == best_code and best_pos is not None:
             inv_best = [0] * s
             for e in range(s):
-                inv_best[best_pos[e]] = e
+                inv_best[colors[e]] = e
+            best_path = fixed
+        elif code == best_code:
             gamma = tuple(inv_best[colors[e]] for e in range(s))
-            if any(gamma[i] != i for i in range(s)) and gamma not in autos:
+            if gamma not in known:
+                known.add(gamma)
                 autos.append(gamma)
+            # gamma maps this leaf's path onto the best leaf's: it fixes their
+            # common prefix and carries the rest of this subtree onto the
+            # sibling subtree already searched, so resume at the branch point
+            return next(i for i, (a, b) in enumerate(zip(best_path, fixed)) if a != b)
+        return len(fixed)
 
-    def in_orbit(x: int, done: list[int], fixed: list[int]) -> bool:
-        gens = [g for g in autos if all(g[f] == f for f in fixed)]
-        if not gens:
-            return False
-        orbit = set(done)
-        frontier = list(done)
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = g[y]
-                if z == x:
-                    return True
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        return False
+    def search(colors: list[int], fixed: list[int], gens: list[tuple[int, ...]], seen: int) -> int:
+        """Search below a node; return the depth at which the search resumes.
 
-    def search(colors: list[int], fixed: list[int]):
+        gens are the automorphisms among autos[:seen] that fix every point of
+        fixed; the node extends them as autos grows.
+        """
         cells = defaultdict(list)
         for e in range(s):
             cells[colors[e]].append(e)
@@ -97,16 +119,27 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
                 target = cells[col]
                 break
         if target is None:
-            visit_leaf(colors)
-            return
-        done: list[int] = []
+            return visit_leaf(colors, fixed)
+        depth = len(fixed)
+        orbit: set[int] = set()  # closure of the visited children under gens
         for x in target:
-            if done and in_orbit(x, done, fixed):
+            if seen < len(autos):
+                new = [g for g in autos[seen:] if all(g[f] == f for f in fixed)]
+                seen = len(autos)
+                if new:
+                    gens += new
+                    _close(orbit, list(orbit), gens)
+            if x in orbit:
                 continue
-            done.append(x)
-            search(_refine(s, subs, mem, _individualize(colors, x)), fixed + [x])
+            orbit.add(x)
+            _close(orbit, [x], gens)
+            child = _refine(s, subs, mem, _individualize(colors, x))
+            level = search(child, fixed + [x], [g for g in gens if g[x] == x], seen)
+            if level < depth:
+                return level
+        return depth
 
-    search(_refine(s, subs, mem, [0] * s), [])
+    search(_refine(s, subs, mem, [0] * s), [], [], 0)
     assert best_code is not None
     return best_code
 

@@ -352,7 +352,7 @@ def _cmd_table(parser, table: dict, choice: str):
         needs, build = table[name]
         missing = [n for n in needs if getattr(args, n.replace("-", "_")) is None]
         if missing:
-            parser.error(f"formula '{name}' needs {' '.join('--' + n for n in missing)}")
+            parser.error(f"{choice} '{name}' needs {' '.join('--' + n for n in missing)}")
         try:
             payload = build(args)
         except argparse.ArgumentTypeError as exc:

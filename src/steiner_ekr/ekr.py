@@ -11,7 +11,6 @@ independent.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canon import canonical_code
@@ -267,6 +266,8 @@ def enumerate_maximal_ekr(
     if workers <= 1 or n < 4 * workers:
         cliques = _bk_roots(adj, order, 0, n, min_size)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         step = -(-n // workers)
         chunks = [(adj, order, lo, min(lo + step, n), min_size) for lo in range(0, n, step)]
         cliques = []

@@ -7,13 +7,20 @@ covered points.  networkx is used only here, as an independent oracle.
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
-from steiner_ekr.canon import canonical_code, canonical_set_system, concurrency_classes
+from steiner_ekr.canon import (
+    _individualize,
+    _refine,
+    canonical_code,
+    canonical_set_system,
+    concurrency_classes,
+)
 
 
 def _as_graph(family):
@@ -73,9 +80,9 @@ def test_canonical_set_system_spot():
 
 
 @st.composite
-def _set_systems(draw):
-    s = draw(st.integers(min_value=2, max_value=6))
-    count = draw(st.integers(min_value=0, max_value=5))
+def _set_systems(draw, max_s, max_count):
+    s = draw(st.integers(min_value=2, max_value=max_s))
+    count = draw(st.integers(min_value=0, max_value=max_count))
     subsets = set()
     for _ in range(count):
         size = draw(st.integers(min_value=2, max_value=s))
@@ -83,7 +90,7 @@ def _set_systems(draw):
     return s, sorted(subsets, key=sorted)
 
 
-@given(_set_systems(), st.randoms(use_true_random=False))
+@given(_set_systems(12, 10), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_canonical_set_system_relabel_invariant(system, rng):
     s, subsets = system
@@ -91,6 +98,93 @@ def test_canonical_set_system_relabel_invariant(system, rng):
     rng.shuffle(perm)
     relabeled = [frozenset(perm[i] for i in sub) for sub in subsets]
     assert canonical_set_system(s, relabeled) == canonical_set_system(s, subsets)
+
+
+def _reference_form(s, subsets, max_leaves):
+    """The minimum leaf code of the whole search tree, found without pruning.
+
+    Same refinement, individualisation and target cell as canonical_set_system,
+    but every leaf is visited, so this is the canonical form by definition.
+    Returns None once more than max_leaves leaves have been seen.
+    """
+    subs = [frozenset(S) for S in subsets]
+    mem = [[] for _ in range(s)]
+    for si, S in enumerate(subs):
+        for e in S:
+            mem[e].append(si)
+
+    def leaves(colors):
+        cells = {}
+        for e in range(s):
+            cells.setdefault(colors[e], []).append(e)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            yield tuple(sorted(tuple(sorted(colors[e] for e in S)) for S in subs))
+            return
+        for x in target:
+            yield from leaves(_refine(s, subs, mem, _individualize(colors, x)))
+
+    codes = list(itertools.islice(leaves(_refine(s, subs, mem, [0] * s)), max_leaves + 1))
+    return min(codes) if len(codes) <= max_leaves else None
+
+
+def _symmetric_corpus():
+    systems = {}
+    for s in range(2, 7):
+        systems[f"pencil{s}"] = (s, [range(s)])
+    for s in range(3, 9):
+        systems[f"cycle{s}"] = (s, [{i, (i + 1) % s} for i in range(s)])
+        systems[f"star{s}"] = (s, [{0, i} for i in range(1, s)])
+    for s in (4, 6, 8):
+        systems[f"matching{s}"] = (s, [{i, i + 1} for i in range(0, s, 2)])
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    systems["fano"] = (7, fano)
+    # refinement leaves 1, 2, 4, 5, 6, 7 in one cell, which holds three
+    # orbits; a backjump past the branch point loses the minimum here
+    triples = [(1, 2, 5), (1, 4, 5), (1, 6, 7), (2, 4, 5), (2, 6, 7), (4, 6, 7)]
+    systems["triples9"] = (9, triples)
+    return systems
+
+
+SYMMETRIC_CORPUS = _symmetric_corpus()
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_CORPUS))
+def test_pruned_search_matches_reference_on_symmetric_corpus(name):
+    s, subsets = SYMMETRIC_CORPUS[name]
+    assert canonical_set_system(s, subsets) == _reference_form(s, subsets, 10**6)
+
+
+@st.composite
+def _closed_systems(draw):
+    """A drawn system, often closed under a drawn permutation to make it an automorphism."""
+    s, subsets = draw(_set_systems(8, 6))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(s)))
+        closed = set(subsets)
+        while True:
+            image = closed | {frozenset(perm[i] for i in S) for S in closed}
+            if image == closed:
+                break
+            closed = image
+        subsets = sorted(closed, key=sorted)
+    return s, subsets
+
+
+@given(_closed_systems())
+@settings(max_examples=200, deadline=None)
+def test_pruned_search_matches_reference_on_random_systems(system):
+    s, subsets = system
+    reference = _reference_form(s, subsets, 2000)
+    assume(reference is not None)  # the symmetric corpus covers the large trees
+    assert canonical_set_system(s, subsets) == reference
+
+
+def test_large_pencil_is_fast():
+    # one class through all members: the search tree has 40! leaves, all equal
+    t0 = time.perf_counter()
+    assert canonical_set_system(40, [range(40)]) == (tuple(range(40)),)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_distinct_structures_get_distinct_codes():

@@ -5,9 +5,14 @@ user sees, including stderr diagnostics and exit statuses.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import steiner_ekr
 from steiner_ekr.cli import main
 
 
@@ -361,3 +366,16 @@ def test_bad_worker_env_exits_one(capsys, monkeypatch):
     monkeypatch.setenv("EKR_WORKERS", "many")
     code, _, err = run(capsys, "enumerate", "--design", "projective:2")
     assert code == 1 and "EKR_WORKERS" in err
+
+
+def test_cli_start_does_not_import_the_worker_pool():
+    # only a workers > 1 enumeration needs concurrent.futures, and with it
+    # multiprocessing and logging; importing them costs every CLI start
+    src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
+    probe = "import sys, steiner_ekr.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
