@@ -2,9 +2,9 @@
 
 Everything here is evaluated in exact arithmetic: rationals stay rationals,
 square roots become SurdExpr comparisons, cube roots go through integer
-bracketing.  Floors are certified by comparing against consecutive integers,
-never by rounding a float.  Sweep functions return certificates listing every
-failing case, so an empty failure list is the proof artifact.
+bracketing.  Floors gallop and bisect on exact sign tests and are certified
+against consecutive integers, never by rounding a float.  Sweep functions
+return certificates listing every failing case: an empty list is the proof.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .exactnum import (
     SurdExpr,
     cmp_double_surd,
     cmp_surd,
+    _floor_from_sign,
     icbrt_floor,
     cbrt_quadratic_sign,
     surd_floor,
@@ -75,16 +76,14 @@ class CubeRootBound:
         return cbrt_quadratic_sign(self.sq_coef, self.lin_coef, self.const - m, self.radicand)
 
     def exact_floor(self) -> int:
-        m = int(float(self))
-        while self.compare(m + 1) >= 0:
-            m += 1
-        while self.compare(m) < 0:
-            m -= 1
-        return m
+        """floor(self) by exact sign tests, O(log(|sq_coef| + |lin_coef| + 2)) of them.
 
-    def __float__(self) -> float:
-        t = self.radicand ** (1 / 3)
-        return float(self.const) + float(self.sq_coef) * t * t + float(self.lin_coef) * t
+        The guess takes the two roots from integer root brackets, so it is off
+        by less than |sq_coef| + |lin_coef|: at most three tests for the unital bound.
+        """
+        t2, t = icbrt_floor(self.radicand**2).floor_root, icbrt_floor(self.radicand).floor_root
+        guess = math.floor(self.const + self.sq_coef * t2 + self.lin_coef * t)
+        return _floor_from_sign(self.compare, guess)
 
 
 @dataclass(frozen=True)
@@ -488,22 +487,24 @@ def deficit_interval(k: int, c: int) -> tuple[SurdExpr, SurdExpr]:
 
 
 def locate_deficit_interval(k: int, deficit: int) -> int | None:
-    """The unique window index whose interval contains the deficit, else None."""
+    """The unique window index in 0..floor(C_k) whose interval contains the deficit, else None.
+
+    For d < k-1, d >= lo(I_c) reduces to d^2 - d >= c(k-1-d): c in closed form, which one
+    cmp_surd pair certifies.  With floor(C_k), three sign tests and two comparisons at any k.
+    """
     if deficit < 0:
         raise DomainError("deficit must be nonnegative")
     if deficit * deficit < k - 1:
         return 0
     top = surd_floor(_axis_limit(k))
+    if top < 1:
+        return None
+    c = top if deficit >= k - 1 else min((deficit**2 - deficit) // (k - 1 - deficit), top)
+    lo, hi = deficit_interval(k, c)
     probe = SurdExpr.rational(deficit)
-    for c in range(1, top + 1):
-        lo, hi = deficit_interval(k, c)
-        if cmp_surd(probe, hi) < 0:
-            if cmp_surd(lo, probe) > 0:
-                raise DomainError(
-                    f"windows are not contiguous at k={k}, c={c}"
-                )
-            return c
-    return None
+    if cmp_surd(lo, probe) > 0:
+        raise DomainError(f"window {c} starts above deficit {deficit} at k={k}")
+    return c if cmp_surd(probe, hi) < 0 else None
 
 
 # -- unital bounds -----------------------------------------------------------

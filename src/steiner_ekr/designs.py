@@ -143,18 +143,18 @@ class Design:
         return tuple(out)
 
     @cached_property
+    def pencil_masks(self) -> tuple[int, ...]:
+        """Per point, the bitmask of the blocks through it."""
+        return tuple(sum(1 << j for j in through) for through in self.incidence)
+
+    @cached_property
     def intersection_adjacency(self) -> tuple[int, ...]:
         """Per block, the bitmask of other blocks sharing a point with it."""
         adj = [0] * self.b
-        for through in self.incidence:
-            m = 0
-            for j in through:
-                m |= 1 << j
+        for through, m in zip(self.incidence, self.pencil_masks):
             for j in through:
                 adj[j] |= m
-        for j in range(self.b):
-            adj[j] &= ~(1 << j)
-        return tuple(adj)
+        return tuple(a & ~(1 << j) for j, a in enumerate(adj))
 
     @cached_property
     def pair_points(self) -> dict[tuple[int, int], int]:

@@ -347,11 +347,14 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
     """Four pairwise intersecting blocks with no three through a common point.
 
     With the pair axiom the condition is equivalent to the six pairwise
-    intersection points being distinct.  The scan fixes the least block first,
+    intersection points being distinct.  Given a triangle (a, b, c), that holds
+    exactly when d avoids the pencils of the corners p_ab, p_ac and p_bc, so
+    the candidates for d are one mask.  The scan fixes the least block first,
     so the first configuration in lexicographic order is returned.
     """
     adj = intersection_adjacency(design)
     pairs = design.pair_points
+    pencil = design.pencil_masks
     n = design.b
     for a in range(n):
         na = adj[a] >> (a + 1) << (a + 1)
@@ -360,26 +363,15 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
             bit_b = ma & -ma
             b = bit_b.bit_length() - 1
             ma ^= bit_b
-            p_ab = pairs[(a, b)]
-            mc = (na & adj[b]) >> (b + 1) << (b + 1)
+            # c off the pencil of p_ab makes p_ab, p_ac and p_bc distinct
+            mc = (na & adj[b] & ~pencil[pairs[(a, b)]]) >> (b + 1) << (b + 1)
             while mc:
                 bit_c = mc & -mc
                 c = bit_c.bit_length() - 1
                 mc ^= bit_c
-                p_ac = pairs[(a, c)]
-                p_bc = pairs[(b, c)]
-                if p_ac == p_ab or p_bc == p_ab or p_ac == p_bc:
-                    continue
-                md = (mc & adj[c]) >> (c + 1) << (c + 1)
-                while md:
-                    bit_d = md & -md
-                    d = bit_d.bit_length() - 1
-                    md ^= bit_d
-                    p_ad = pairs[(a, d)]
-                    p_bd = pairs[(b, d)]
-                    p_cd = pairs[(c, d)]
-                    if len({p_ab, p_ac, p_bc, p_ad, p_bd, p_cd}) == 6:
-                        return (a, b, c, d)
+                md = mc & adj[c] & ~pencil[pairs[(a, c)]] & ~pencil[pairs[(b, c)]]
+                if md:
+                    return (a, b, c, (md & -md).bit_length() - 1)
     return None
 
 

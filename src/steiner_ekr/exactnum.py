@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 
 Rational = Fraction
 
@@ -120,21 +120,24 @@ class SurdExpr:
         return float(self.a) + float(self.b) * self.n**0.5
 
 
+def _scaled(*xs) -> list[int]:
+    """The rationals xs times the lcm of their denominators: integers, same signs and ratios."""
+    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    den = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs]
+
+
 def surd_sign(a, b, n: int) -> int:
     """Exact sign of a + b*sqrt(n)."""
-    a, b = _frac(a), _frac(b)
     if n < 0:
         raise ValueError("negative radicand")
-    if b == 0 or n == 0:
-        return _sign(a)
+    a, b = _scaled(a, b)
     r = isqrt(n)
     if r * r == n:
         return _sign(a + b * r)
-    if a == 0:
-        return _sign(b)
     sa, sb = _sign(a), _sign(b)
-    if sa == sb:
-        return sa
+    if sa * sb >= 0:
+        return sa or sb
     # Opposite signs: compare |a| with |b|*sqrt(n).  a*a == b*b*n would make
     # sqrt(n) rational, excluded above, so the comparison is strict.
     return sa if a * a > b * b * n else sb
@@ -142,13 +145,12 @@ def surd_sign(a, b, n: int) -> int:
 
 def double_surd_sign(a, b, m: int, c, n: int) -> int:
     """Exact sign of a + b*sqrt(m) + c*sqrt(n), two squarings at most."""
-    a, b, c = _frac(a), _frac(b), _frac(c)
     if m < 0 or n < 0:
         raise ValueError("negative radicand")
-    if b == 0 or m == 0:
-        return surd_sign(a, c, n)
-    if c == 0 or n == 0:
-        return surd_sign(a, b, m)
+    return _int_double_sign(m, n, *_scaled(a, b, c))
+
+
+def _int_double_sign(m: int, n: int, a: int, b: int, c: int) -> int:
     rm = isqrt(m)
     if rm * rm == m:
         return surd_sign(a + b * rm, c, n)
@@ -157,50 +159,55 @@ def double_surd_sign(a, b, m: int, c, n: int) -> int:
         return surd_sign(a + c * rn, b, m)
     if m == n:
         return surd_sign(a, b + c, m)
-
-    sb, sc = _sign(b), _sign(c)
-    if sb == sc:
-        st = sb
-    else:
-        # sign of b*sqrt(m) + c*sqrt(n); zero is possible (e.g. 2*sqrt(2) - sqrt(8))
-        d = b * b * m - c * c * n
-        st = sb if d > 0 else (sc if d < 0 else 0)
-    if st == 0:
-        return _sign(a)
-    if a == 0:
-        return st
+    # sign of b*sqrt(m) + c*sqrt(n); zero is possible (e.g. 2*sqrt(2) - sqrt(8))
+    sb, sc, d = _sign(b), _sign(c), b * b * m - c * c * n
+    st = sb if sb == sc or d > 0 else (sc if d < 0 else 0)
     sa = _sign(a)
-    if sa == st:
-        return sa
+    if sa * st >= 0:
+        return sa or st
     # a and the radical part have opposite signs: square once more.
     d2 = surd_sign(a * a - b * b * m - c * c * n, -2 * b * c, m * n)
-    if d2 == 0:
-        return 0
-    return sa if d2 > 0 else st
+    return 0 if d2 == 0 else (sa if d2 > 0 else st)
 
 
 def cmp_surd(lhs: SurdExpr, rhs: SurdExpr) -> int:
     """-1 / 0 / +1 ordering of two quadratic surds, decided exactly."""
-    return double_surd_sign(lhs.a - rhs.a, lhs.b, lhs.n, -rhs.b, rhs.n)
+    a, c, b, d = _scaled(lhs.a, rhs.a, lhs.b, rhs.b)
+    return _int_double_sign(lhs.n, rhs.n, a - c, b, -d)
 
 
 def cmp_double_surd(p, q, m: int, s, t, n: int) -> int:
     """Ordering of p + q*sqrt(m) versus s + t*sqrt(n)."""
-    return double_surd_sign(_frac(p) - _frac(s), q, m, -_frac(t), n)
+    p, s, q, t = _scaled(p, s, q, t)
+    return double_surd_sign(p - s, q, m, -t, n)
+
+
+def _floor_from_sign(sign_at, guess: int) -> int:
+    """floor(x) from sign_at(m) = sign(x - m): O(log |floor(x) - guess|) sign tests.
+
+    Gallops from the guess in steps 1, 2, 4, ... and then bisects; a guess within one
+    of the floor costs three tests at most.
+    """
+    lo, hi, step = guess, guess + 1, 1
+    while sign_at(lo) < 0:
+        lo, hi, step = lo - step, lo, 2 * step
+    while sign_at(hi) >= 0:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sign_at(mid) >= 0 else (lo, mid)
+    return lo
 
 
 def surd_floor(x: SurdExpr) -> int:
-    """Exact floor of a + b*sqrt(n)."""
-    if x.n and x.b:
-        approx = x.a + x.b * Fraction(isqrt(x.n << 128), 1 << 64)
-    else:
-        approx = x.a
-    m = floor(approx)
-    while surd_sign(x.a - (m + 1), x.b, x.n) >= 0:
-        m += 1
-    while surd_sign(x.a - m, x.b, x.n) < 0:
-        m -= 1
-    return m
+    """Exact floor of a + b*sqrt(n).
+
+    The guess floor(a +- isqrt(floor(b^2 n))) is within one of the floor, so
+    the floor costs at most three exact sign tests at any magnitude.
+    """
+    root = isqrt(floor(x.b * x.b * x.n))
+    guess = floor(x.a + (root if x.b > 0 else -root))
+    return _floor_from_sign(lambda m: surd_sign(x.a - m, x.b, x.n), guess)
 
 
 def cbrt_quadratic_sign(c2, c1, c0, radicand: int) -> int:

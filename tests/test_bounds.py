@@ -1,11 +1,15 @@
 """Closed-form bounds, certified sweeps, and exact threshold decisions.
 
 Hand-computed spot values are pinned as fractions; the two counting-bound
-parameterizations are held to exact agreement on a dense grid, which is the
-strongest transcription check available for formulas of this shape.
+parameterizations are held to exact agreement on a dense grid, and to their
+integer numerators over k(k-1)(k-2) below, which is the strongest
+transcription check available for formulas of this shape.  The window index
+is held to the linear scan it replaced, and the floors to their bracketing
+sign tests at magnitudes up to 10^40.
 """
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -36,7 +40,107 @@ from steiner_ekr.bounds import (
     unital_second_max_bound,
 )
 from steiner_ekr.errors import BudgetExceeded, DomainError
-from steiner_ekr.exactnum import EQUAL, SurdExpr, cmp_surd
+from steiner_ekr.exactnum import EQUAL, SurdExpr, cmp_surd, surd_floor
+
+# Generous next to the milliseconds these calls take; a floor that walks one
+# integer at a time, or a window scan over c, blows through it.
+DEADLINE_MS = 1000
+
+
+# -- reference forms -----------------------------------------------------------
+
+
+def _larger_branch(k, branch1, branch2):
+    """(value, active branch) of two numerators over D = k(k-1)(k-2); a tie keeps branch 1."""
+    top, active = (branch2, 2) if branch2 > branch1 else (branch1, 1)
+    return F(top, k * (k - 1) * (k - 2)), active
+
+
+def _counting_numerators(k, r, b):
+    """counting_bound's two branches as integer numerators over D = k(k-1)(k-2)."""
+    d = k * (k - 1) * (k - 2)
+    branch1 = (
+        (k * k - k + 1) * d
+        - 2 * (r - k) * (k * k - k + 1 - r) * (k - 1)
+        + b * (b - 1) * k
+        + 2 * (b - 1) * (k * k - k - r) * k
+    )
+    branch2 = (k * k - r) * d - (r - 1) * k * (k - 1) + b * (b - 1 - r + 2 * k * (k - 1)) * (k - 1)
+    return _larger_branch(k, branch1, branch2)
+
+
+def _counting_deficit_numerators(k, R, b):
+    """counting_bound_deficit's two branches as integer numerators over D = k(k-1)(k-2)."""
+    d = k * (k - 1) * (k - 2)
+    branch1 = (
+        (k * k - k + 1) * d
+        - 2 * (k * k - 3 * k + 1 - R) * (k + R) * (k - 1)
+        + b * (b - 1) * k
+        + 2 * (b - 1) * (k - 1 + R) * k
+    )
+    branch2 = (k - 1 + R) * d + R * k * (k - 1) + b * (b + k * k + R - 2) * (k - 1)
+    return _larger_branch(k, branch1, branch2)
+
+
+def _locate_by_scan(k, deficits):
+    """locate_deficit_interval as a linear scan over c = 1..floor(C_k), per ascending deficit.
+
+    The scan answers the first c with d < hi(I_c).  Every c that a smaller
+    deficit passed over has hi(I_c) <= that deficit < d, so each deficit
+    resumes where the one before stopped; the outcomes are those of a scan
+    from c = 1.  A DomainError is recorded as ("error", message).
+    """
+    top = surd_floor(SurdExpr(-2 * k, F(4 * k, 3) - 2, k))
+    out, c = {}, 1
+    for d in deficits:
+        if d * d < k - 1:
+            out[d] = 0
+            continue
+        probe = SurdExpr.rational(d)
+        try:
+            while c <= top:
+                lo, hi = deficit_interval(k, c)
+                if cmp_surd(probe, hi) < 0:
+                    if cmp_surd(lo, probe) > 0:
+                        raise DomainError(f"windows are not contiguous at k={k}, c={c}")
+                    break
+                c += 1
+            out[d] = c if c <= top else None
+        except DomainError as exc:
+            out[d] = ("error", str(exc))
+    return out
+
+
+def _icbrt(n):
+    """floor(n ** (1/3)) by bisection on integers."""
+    lo, hi = 0, 1 << (n.bit_length() // 3 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**3 <= n else (lo, mid)
+    return lo
+
+
+def _unital_second_floor(q):
+    """floor(q^2 - q + 1 + t^2 - 2t/3), t = q^(1/3), from fixed-point brackets of t.
+
+    g(t) = t^2 - 2t/3 increases past t = 1/3, so once g at the two ends of
+    the bracket [lo, hi) shares one floor, that is the floor of g(t).
+    """
+    bits = 32
+    while True:
+        root = _icbrt(q << (3 * bits))
+        lo, hi = F(root, 1 << bits), F(root + 1, 1 << bits)
+        g_lo, g_hi = lo * lo - F(2, 3) * lo, hi * hi - F(2, 3) * hi
+        if math.floor(g_lo) == math.ceil(g_hi) - 1:
+            return q * q - q + 1 + math.floor(g_lo)
+        bits *= 2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return ("error", str(exc))
 
 
 # -- counting bounds ----------------------------------------------------------
@@ -67,8 +171,10 @@ def test_parameterizations_agree_on_grid():
             for b in range(0, k + 1):
                 direct = counting_bound(k, r, b)
                 via_deficit = counting_bound_deficit(k, deficit, b)
-                assert direct.value == via_deficit.value, (k, deficit, b)
-                assert direct.active_branch == via_deficit.active_branch
+                expected = _counting_numerators(k, r, b)
+                assert (direct.value, direct.active_branch) == expected, (k, deficit, b)
+                assert (via_deficit.value, via_deficit.active_branch) == expected
+                assert direct.floor_value == via_deficit.floor_value == math.floor(expected[0])
 
 
 @given(
@@ -81,6 +187,23 @@ def test_parameterizations_agree_everywhere(k, deficit, b):
     direct = counting_bound(k, (k - 1) ** 2 - deficit, b)
     via_deficit = counting_bound_deficit(k, deficit, b)
     assert direct.value == via_deficit.value
+    expected = _counting_deficit_numerators(k, deficit, b)
+    assert (via_deficit.value, via_deficit.active_branch) == expected
+
+
+@given(
+    st.integers(min_value=3, max_value=10**40),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.integers(min_value=0, max_value=10**40),
+)
+@settings(max_examples=200, deadline=DEADLINE_MS)
+def test_counting_bounds_match_the_integer_forms_at_large_magnitudes(k, deficit, b):
+    r = (k - 1) ** 2 - deficit
+    for rep, (value, active) in (
+        (counting_bound(k, r, b), _counting_numerators(k, r, b)),
+        (counting_bound_deficit(k, deficit, b), _counting_deficit_numerators(k, deficit, b)),
+    ):
+        assert (rep.value, rep.active_branch, rep.floor_value) == (value, active, math.floor(value))
 
 
 def test_multiplicity_cap():
@@ -306,6 +429,30 @@ def test_locate_deficit_interval_spots():
         locate_deficit_interval(14, -1)
 
 
+def test_locate_deficit_interval_matches_the_linear_scan():
+    # k < 14 has no windows past I_0: the scan raises DomainError or answers None
+    for k in range(2, 301):
+        deficits = range(0, k + 3)
+        expected = _locate_by_scan(k, deficits)
+        for deficit in deficits:
+            assert _outcome(locate_deficit_interval, k, deficit) == expected[deficit], (k, deficit)
+
+
+@given(st.integers(min_value=14, max_value=10**40), st.data())
+@settings(max_examples=200, deadline=DEADLINE_MS)
+def test_locate_deficit_interval_brackets_at_large_magnitudes(k, data):
+    deficit = data.draw(st.integers(min_value=0, max_value=k + 2))
+    c = locate_deficit_interval(k, deficit)
+    probe = SurdExpr.rational(deficit)
+    if c is None:
+        # past the last window: the deficit sits at or above hi(I_floor(C_k))
+        top = surd_floor(SurdExpr(-2 * k, F(4 * k, 3) - 2, k))
+        assert cmp_surd(probe, deficit_interval(k, top)[1]) >= 0
+    else:
+        lo, hi = deficit_interval(k, c)
+        assert cmp_surd(lo, probe) <= 0 < cmp_surd(hi, probe)
+
+
 def test_locate_deficit_interval_is_monotone():
     last = 0
     for deficit in range(0, 11):
@@ -359,6 +506,45 @@ def test_cube_root_bound_floor_brackets():
         m = expr.exact_floor()
         assert expr.compare(m) >= 0
         assert expr.compare(m + 1) < 0
+
+
+_BIG = st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**6)
+
+
+@given(st.integers(min_value=0, max_value=10**40), _BIG, _BIG, _BIG)
+@settings(max_examples=100, deadline=DEADLINE_MS)
+def test_cube_root_bound_floor_brackets_at_large_magnitudes(radicand, const, sq, lin):
+    expr = CubeRootBound(radicand, const, sq, lin)
+    m = expr.exact_floor()
+    assert expr.compare(m) >= 0 > expr.compare(m + 1)
+
+
+@given(st.integers(min_value=5, max_value=10**40))
+@settings(max_examples=200, deadline=DEADLINE_MS)
+def test_unital_second_max_matches_integer_cube_roots(q):
+    rep = unital_second_max_bound(q)
+    assert rep.floor_value == _unital_second_floor(q)
+    assert rep.inputs["cbrt_bracket_q"] == _icbrt(q)
+    assert rep.inputs["cbrt_bracket_q2"] == _icbrt(q * q)
+
+
+def test_large_inputs_answer_quickly():
+    # a floor seeded from a float overflows at 10^400, and a one-step walk never ends
+    for q in (10**11, 10**21, 10**400):
+        start = time.perf_counter()
+        rep = unital_second_max_bound(q)
+        assert time.perf_counter() - start < 0.5, q
+        assert rep.floor_value == _unital_second_floor(q)
+        assert rep.value.compare(rep.floor_value) >= 0 > rep.value.compare(rep.floor_value + 1)
+    start = time.perf_counter()
+    assert surd_floor(SurdExpr(0, 10**30, 2)) == math.isqrt(2 * 10**60)
+    k, deficit = 10**10, 5 * 10**9
+    c = locate_deficit_interval(k, deficit)
+    assert time.perf_counter() - start < 0.5
+    assert c == (deficit * deficit - deficit) // (k - 1 - deficit)
+    lo, hi = deficit_interval(k, c)
+    probe = SurdExpr.rational(deficit)
+    assert cmp_surd(lo, probe) <= 0 < cmp_surd(hi, probe)
 
 
 # -- report rendering ---------------------------------------------------------------

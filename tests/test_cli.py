@@ -204,6 +204,16 @@ def test_bound_unital_second_json(capsys):
     assert payload["value"]["radicand"] == 5
 
 
+def test_bound_unital_second_huge_order(capsys):
+    # far past float precision: the floor must gallop, not walk one integer at a time
+    q = 10**21
+    code, out, _ = run(
+        capsys, "bound", "--formula", "unital-second", "--q", str(q), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["floor_value"] == 999999999999999999999000000099999993333334
+
+
 def test_bound_cover_range(capsys):
     code, out, _ = run(
         capsys, "bound", "--formula", "cover-range", "--k", "4", "--shortfall", "2",

@@ -7,6 +7,7 @@ admit one; the larger designs are pinned so any behavioural drift surfaces.
 
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -246,6 +247,31 @@ def test_find_onan_in_projective_plane_three():
     quad = find_onan(d)
     assert quad is not None
     _assert_is_onan(d, quad)
+
+
+def _first_onan_by_brute_force(design):
+    blocks = [set(bl) for bl in design.blocks]
+    for quad in itertools.combinations(range(design.b), 4):
+        pts = [blocks[a] & blocks[b] for a, b in itertools.combinations(quad, 2)]
+        if all(len(p) == 1 for p in pts) and len(set().union(*pts)) == 6:
+            return quad
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "make, arg",
+    [(se.projective_plane, 3), (se.affine_plane, 4), (se.sts13, 1), (se.complete_graph, 7)],
+)
+def test_find_onan_is_the_first_quadruple(make, arg, seed):
+    # relabelled points reorder the blocks, so the first configuration moves
+    design = make(arg)
+    perm = list(range(design.v))
+    random.Random(seed).shuffle(perm)
+    blocks = [sorted(perm[p] for p in bl) for bl in design.blocks]
+    relabelled = se.Design(design.v, design.k, blocks)
+    for d in (design, relabelled):
+        assert find_onan(d) == _first_onan_by_brute_force(d)
 
 
 def _assert_is_onan(design, quad):

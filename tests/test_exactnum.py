@@ -7,6 +7,7 @@ exact code produced a nonzero verdict for a value the oracle can bound below
 2^-100, which the input magnitudes rule out.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from math import isqrt
@@ -20,6 +21,7 @@ from steiner_ekr.exactnum import (
     LESS,
     RootBracket,
     SurdExpr,
+    _floor_from_sign,
     cbrt_quadratic_sign,
     cmp_double_surd,
     cmp_surd,
@@ -133,6 +135,40 @@ def test_surd_floor_brackets_exactly(a, b, n):
     f = surd_floor(x)
     assert cmp_surd(SurdExpr.rational(f), x) <= 0
     assert cmp_surd(SurdExpr.rational(f + 1), x) > 0
+
+
+@given(
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**12),
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**12),
+    st.integers(min_value=0, max_value=10**40),
+)
+@settings(max_examples=300, deadline=1000)
+def test_surd_floor_brackets_at_large_magnitudes(a, b, n):
+    f = surd_floor(SurdExpr(a, b, n))
+    assert surd_sign(a - f, b, n) >= 0 > surd_sign(a - f - 1, b, n)
+
+
+def test_surd_floor_of_a_huge_coefficient():
+    # a guess with a fixed 64-bit fraction is off by about 5 * 10^10 here
+    assert surd_floor(SurdExpr(0, 10**30, 2)) == isqrt(2 * 10**60)
+    assert surd_floor(SurdExpr(0, -(10**30), 2)) == -isqrt(2 * 10**60) - 1
+
+
+@given(
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**6),
+    st.integers(min_value=-(10**45), max_value=10**45),
+)
+@settings(max_examples=300, deadline=1000)
+def test_floor_from_sign_gallops_from_any_guess(x, guess):
+    tests = []
+
+    def sign_at(m):
+        tests.append(m)
+        return (x > m) - (x < m)
+
+    assert _floor_from_sign(sign_at, guess) == math.floor(x)
+    # galloping out and bisecting back each take about log2 |error| steps
+    assert len(tests) <= 2 * abs(math.floor(x) - guess).bit_length() + 3
 
 
 @given(
