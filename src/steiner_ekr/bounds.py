@@ -76,13 +76,16 @@ class CubeRootBound:
         return cbrt_quadratic_sign(self.sq_coef, self.lin_coef, self.const - m, self.radicand)
 
     def exact_floor(self) -> int:
-        """floor(self) by exact sign tests, O(log(|sq_coef| + |lin_coef| + 2)) of them.
+        """floor(self) by exact sign tests, at most three of them for any coefficients.
 
-        The guess takes the two roots from integer root brackets, so it is off
-        by less than |sq_coef| + |lin_coef|: at most three tests for the unital bound.
+        The guess takes both roots in fixed point, T2 = floor(2^s radicand^(2/3))
+        and T = floor(2^s radicand^(1/3)), with 2^s > |sq_coef| + |lin_coef|, so
+        const + (sq_coef T2 + lin_coef T) / 2^s is off by less than one.
         """
-        t2, t = icbrt_floor(self.radicand**2).floor_root, icbrt_floor(self.radicand).floor_root
-        guess = math.floor(self.const + self.sq_coef * t2 + self.lin_coef * t)
+        s = math.ceil(abs(self.sq_coef) + abs(self.lin_coef)).bit_length()
+        t2 = icbrt_floor(self.radicand**2 << 3 * s).floor_root
+        t = icbrt_floor(self.radicand << 3 * s).floor_root
+        guess = math.floor(self.const + Fraction(self.sq_coef * t2 + self.lin_coef * t, 1 << s))
         return _floor_from_sign(self.compare, guess)
 
 

@@ -25,6 +25,20 @@ isomorphism II", arXiv:1301.1493):
 
 Together they keep highly symmetric inputs (pencils, full plane line sets)
 cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
+
+Point-pencils and triangles, which the paper's dichotomy makes the common
+case, skip the search: the set system itself is recognised and its form is
+written down, the minimum the search would return.
+
+- Pencil: one class holding all s positions.  Every permutation preserves
+  it, so every leaf has the code (0, 1, ..., s-1).
+- Triangle: a base class of s-1 positions, and the s-1 pairs that join the
+  remaining apex position to each of them.  For s > 3 refinement ranks the
+  pairs below the base (size 2 < s-1), so the apex, on s-1 pairs, sorts
+  below every base position, which lies on one pair and the base: the apex
+  takes colour 0 and the base colours 1..s-1.  The base's symmetric group
+  preserves the system (for s = 3, all three pairs are alike), so every leaf
+  has the code (0,1), (0,2), ..., (0,s-1), (1, ..., s-1).
 """
 
 from __future__ import annotations
@@ -68,11 +82,32 @@ def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) ->
                 frontier.append(z)
 
 
+def _closed_form(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """The search's form of a pencil or a triangle, or None for any other system."""
+    ground = frozenset(range(s))
+    if len(subs) == 1:
+        return (tuple(range(s)),) if subs[0] == ground else None
+    if len(subs) != s:
+        return None
+    base = max(subs, key=len)
+    if len(base) != s - 1:
+        return None
+    apex = ground - base
+    if set(subs) != {base} | {apex | {e} for e in base}:
+        return None
+    return tuple((0, e) for e in range(1, s)) + (tuple(range(1, s)),)
+
+
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a set system over ground set 0..s-1."""
     subs = [frozenset(S) for S in subsets]
     if s == 0:
         return ()
+    return _closed_form(s, subs) or _search(s, subs)
+
+
+def _search(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+    """The minimum leaf code of the individualisation-refinement tree, for s >= 1."""
     mem: list[list[int]] = [[] for _ in range(s)]
     for si, S in enumerate(subs):
         for e in S:

@@ -187,21 +187,39 @@ class Design:
 
 # -- constructors ---------------------------------------------------------
 
+# Most blocks a builtin constructor builds.  By Fisher's inequality v <= b, so
+# the v(v-1)/2 point pairs checked at construction and the b x b intersection
+# adjacency both grow at most as b^2; projective:43 (1,893 blocks), the
+# largest plane below the cap, builds in about 4 s and 0.3 GB.
+MAX_BLOCKS = 2000
+
+
+def _check_block_count(kind: str, n: int, b: int) -> None:
+    """Refuse kind:n, which has b blocks, before building it when b passes MAX_BLOCKS.
+
+    A parameter below 1 names no design; the constructor's own checks reject it.
+    """
+    if n > 0 and b > MAX_BLOCKS:
+        raise DesignError(f"{kind}:{n} would have {b} blocks, more than the {MAX_BLOCKS} allowed")
+
 
 def projective_plane(q: int) -> Design:
     """Lines of PG(2, q): a 2-(q^2+q+1, q+1, 1) design."""
+    _check_block_count("projective", q, q * q + q + 1)
     pts, lines = pg_lines(2, q)
     return Design(len(pts), q + 1, lines, name=f"projective:{q}")
 
 
 def pg3_line_design(q: int) -> Design:
     """Lines of PG(3, q): a 2-((q^2+1)(q+1), q+1, 1) design."""
+    _check_block_count("pg3", q, (q * q + 1) * (q * q + q + 1))
     pts, lines = pg_lines(3, q)
     return Design(len(pts), q + 1, lines, name=f"pg3:{q}")
 
 
 def affine_plane(q: int) -> Design:
     """Lines of AG(2, q): a 2-(q^2, q, 1) design; point (x, y) has index x*q + y."""
+    _check_block_count("affine", q, q * q + q)
     fld = field_for_order(q)
     blocks = []
     for m in fld.elements:
@@ -214,6 +232,7 @@ def affine_plane(q: int) -> Design:
 
 def hermitian_unital(q: int) -> Design:
     """Secant-line design of the Hermitian curve: 2-(q^3+1, q+1, 1)."""
+    _check_block_count("unital", q, q * q * (q * q - q + 1))
     prime_power(q)
     fld = field_for_order(q * q)
     hset = hermitian_points(q)
@@ -240,6 +259,7 @@ def hermitian_unital(q: int) -> Design:
 
 def complete_graph(v: int) -> Design:
     """Edge set of K_v as a 2-(v, 2, 1) design."""
+    _check_block_count("kgraph", v, v * (v - 1) // 2)
     if v < 3:
         raise ParameterMismatch("need at least 3 vertices")
     blocks = [(i, j) for i in range(v) for j in range(i + 1, v)]

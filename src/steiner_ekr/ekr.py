@@ -11,6 +11,7 @@ independent.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .canon import canonical_code
@@ -195,10 +196,23 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return order
 
 
-def _bk_pivot(adj, R: list[int], P: int, X: int, min_size: int, out: list[tuple[int, ...]]):
+class _Cliques:
+    """The maximal cliques found so far: every one is counted, the first cap are kept."""
+
+    __slots__ = ("cap", "count", "kept")
+
+    def __init__(self, cap: float):
+        self.cap = cap
+        self.count = 0
+        self.kept: list[tuple[int, ...]] = []
+
+
+def _bk_pivot(adj, R: list[int], P: int, X: int, min_size: int, out: _Cliques):
     if P == 0:
         if X == 0 and len(R) >= min_size:
-            out.append(tuple(sorted(R)))
+            out.count += 1
+            if out.count <= out.cap:
+                out.kept.append(tuple(sorted(R)))
         return
     if len(R) + P.bit_count() < min_size:
         return
@@ -224,15 +238,14 @@ def _bk_pivot(adj, R: list[int], P: int, X: int, min_size: int, out: list[tuple[
         X |= bit
 
 
-def _bk_roots(adj, order, lo: int, hi: int, min_size: int) -> list[tuple[int, ...]]:
+def _bk_roots(adj, order, lo: int, hi: int, min_size: int, cap: float) -> _Cliques:
     """Maximal cliques whose degeneracy-first vertex lies in order[lo:hi]."""
-    pos = {v: i for i, v in enumerate(order)}
     later = [0] * len(order)
     running = 0
     for i in range(len(order) - 1, -1, -1):
         later[i] = running
         running |= 1 << order[i]
-    out: list[tuple[int, ...]] = []
+    out = _Cliques(cap)
     for i in range(lo, hi):
         v = order[i]
         earlier = ((1 << len(order)) - 1) & ~later[i] & ~(1 << v)
@@ -240,9 +253,9 @@ def _bk_roots(adj, order, lo: int, hi: int, min_size: int) -> list[tuple[int, ..
     return out
 
 
-def _bk_worker(args):
-    adj, order, lo, hi, min_size = args
-    return _bk_roots(adj, order, lo, hi, min_size)
+def _bk_worker(args) -> tuple[int, list[tuple[int, ...]]]:
+    found = _bk_roots(*args)
+    return found.count, found.kept
 
 
 def enumerate_maximal_ekr(
@@ -256,28 +269,33 @@ def enumerate_maximal_ekr(
     The result is materialised and sorted by block index tuple, so identical
     inputs give identical streams for any worker count.  When more than
     max_count families exist the search raises BudgetExceeded rather than
-    truncate silently.
+    truncate silently: it keeps at most max_count families (per worker) but
+    counts them all, so the exception's count is exact and memory stays
+    O(max_count).
     """
     if min_size < 1:
         min_size = 1
+    cap = math.inf if max_count is None else max_count
     adj = intersection_adjacency(design)
     order = _degeneracy_order(adj)
     n = len(order)
     if workers <= 1 or n < 4 * workers:
-        cliques = _bk_roots(adj, order, 0, n, min_size)
+        found = _bk_roots(adj, order, 0, n, min_size, cap)
+        count, cliques = found.count, found.kept
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         step = -(-n // workers)
-        chunks = [(adj, order, lo, min(lo + step, n), min_size) for lo in range(0, n, step)]
-        cliques = []
+        chunks = [(adj, order, lo, min(lo + step, n), min_size, cap) for lo in range(0, n, step)]
+        count, cliques = 0, []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_bk_worker, chunks):
+            for part_count, part in pool.map(_bk_worker, chunks):
+                count += part_count
                 cliques.extend(part)
-    if max_count is not None and len(cliques) > max_count:
+    if count > cap:
         raise BudgetExceeded(
-            f"{len(cliques)} maximal families exceed the requested cap {max_count}",
-            count=len(cliques),
+            f"{count} maximal families exceed the requested cap {max_count}",
+            count=count,
         )
     cliques.sort()
     return [BlockSet(design, c) for c in cliques]

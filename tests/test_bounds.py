@@ -40,7 +40,7 @@ from steiner_ekr.bounds import (
     unital_second_max_bound,
 )
 from steiner_ekr.errors import BudgetExceeded, DomainError
-from steiner_ekr.exactnum import EQUAL, SurdExpr, cmp_surd, surd_floor
+from steiner_ekr.exactnum import EQUAL, SurdExpr, _floor_from_sign, cmp_surd, surd_floor
 
 # Generous next to the milliseconds these calls take; a floor that walks one
 # integer at a time, or a window scan over c, blows through it.
@@ -517,6 +517,31 @@ def test_cube_root_bound_floor_brackets_at_large_magnitudes(radicand, const, sq,
     expr = CubeRootBound(radicand, const, sq, lin)
     m = expr.exact_floor()
     assert expr.compare(m) >= 0 > expr.compare(m + 1)
+
+
+def _floor_from_integer_roots(expr):
+    """exact_floor as first written: a guess from the integer roots of q^2 and q.
+
+    That guess is off by up to |sq_coef| + |lin_coef|, so the gallop takes
+    about 2 log2 of that many sign tests, but it ends on the same floor.
+    """
+    t2, t = _icbrt(expr.radicand**2), _icbrt(expr.radicand)
+    return _floor_from_sign(expr.compare, math.floor(expr.const + expr.sq_coef * t2 + expr.lin_coef * t))
+
+
+@given(st.integers(min_value=0, max_value=10**40), _BIG, _BIG, _BIG)
+@settings(max_examples=50, deadline=DEADLINE_MS)
+def test_cube_root_bound_floor_takes_three_sign_tests(radicand, const, sq, lin):
+    calls = []
+
+    class Counting(CubeRootBound):
+        def compare(self, m):
+            calls.append(m)
+            return super().compare(m)
+
+    m = Counting(radicand, const, sq, lin).exact_floor()
+    assert len(calls) <= 3
+    assert m == _floor_from_integer_roots(CubeRootBound(radicand, const, sq, lin))
 
 
 @given(st.integers(min_value=5, max_value=10**40))

@@ -17,6 +17,7 @@ from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 from steiner_ekr.canon import (
     _individualize,
     _refine,
+    _search,
     canonical_code,
     canonical_set_system,
     concurrency_classes,
@@ -100,12 +101,10 @@ def test_canonical_set_system_relabel_invariant(system, rng):
     assert canonical_set_system(s, relabeled) == canonical_set_system(s, subsets)
 
 
-def _reference_form(s, subsets, max_leaves):
-    """The minimum leaf code of the whole search tree, found without pruning.
+def _leaf_codes(s, subsets):
+    """Every leaf code of the search tree, in search order, without pruning.
 
-    Same refinement, individualisation and target cell as canonical_set_system,
-    but every leaf is visited, so this is the canonical form by definition.
-    Returns None once more than max_leaves leaves have been seen.
+    Same refinement, individualisation and target cell as canonical_set_system.
     """
     subs = [frozenset(S) for S in subsets]
     mem = [[] for _ in range(s)]
@@ -124,7 +123,16 @@ def _reference_form(s, subsets, max_leaves):
         for x in target:
             yield from leaves(_refine(s, subs, mem, _individualize(colors, x)))
 
-    codes = list(itertools.islice(leaves(_refine(s, subs, mem, [0] * s)), max_leaves + 1))
+    return leaves(_refine(s, subs, mem, [0] * s))
+
+
+def _reference_form(s, subsets, max_leaves):
+    """The minimum leaf code of the whole search tree, found without pruning.
+
+    Every leaf is visited, so this is the canonical form by definition.
+    Returns None once more than max_leaves leaves have been seen.
+    """
+    codes = list(itertools.islice(_leaf_codes(s, subsets), max_leaves + 1))
     return min(codes) if len(codes) <= max_leaves else None
 
 
@@ -192,3 +200,86 @@ def test_distinct_structures_get_distinct_codes():
     pencil = canonical_set_system(3, [frozenset({0, 1, 2})])
     chain = canonical_set_system(3, [frozenset({0, 1}), frozenset({1, 2})])
     assert pencil != chain
+
+
+# -- closed forms of pencils and triangles ---------------------------------------
+
+
+def _pencil(s):
+    return [frozenset(range(s))]
+
+
+def _triangle(s, apex):
+    """The base class of every position but apex, and the pair joining apex to each."""
+    base = frozenset(range(s)) - {apex}
+    return [base] + [frozenset({apex, e}) for e in sorted(base)]
+
+
+def _class_orders(subs, rng):
+    """Every order of the classes when there are at most 4, else two of them."""
+    if len(subs) <= 4:
+        return [list(p) for p in itertools.permutations(subs)]
+    return [subs, rng.sample(subs, len(subs))]
+
+
+@pytest.mark.parametrize("s", range(3, 17))
+def test_closed_forms_equal_the_search(s):
+    pencil_form = (tuple(range(s)),)
+    triangle_form = tuple((0, e) for e in range(1, s)) + (tuple(range(1, s)),)
+    rng = random.Random(s)
+    cases = [(_pencil(s), pencil_form)] + [(_triangle(s, a), triangle_form) for a in range(s)]
+    for subs, form in cases:
+        for order in _class_orders(subs, rng):
+            assert canonical_set_system(s, order) == form
+            assert _search(s, order) == form
+            if s <= 6:
+                assert _reference_form(s, order, 10**4) == form
+            else:
+                # every leaf of a pencil or a triangle carries the same code, as
+                # the symmetric group of the base permutes the leaves transitively
+                assert set(itertools.islice(_leaf_codes(s, order), 30)) == {form}
+
+
+_MUTATIONS = ("none", "drop", "duplicate", "add", "move")
+
+
+@st.composite
+def _near_misses(draw):
+    """A pencil or a triangle on 1..6 positions, often with one class broken, relabelled."""
+    s = draw(st.integers(min_value=1, max_value=6))
+    subs = _pencil(s) if draw(st.booleans()) else _triangle(s, draw(st.integers(0, s - 1)))
+    subs = [set(S) for S in subs if S]
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    i = draw(st.integers(0, max(len(subs) - 1, 0)))
+    if mutation == "drop" and subs:
+        del subs[i]
+    elif mutation == "duplicate" and subs:
+        subs.append(set(subs[i]))
+    elif mutation == "add":
+        subs.append(set(draw(st.permutations(range(s)))[: draw(st.integers(1, s))]))
+    elif mutation == "move" and subs:
+        cls = subs[i]
+        cls.discard(draw(st.sampled_from(sorted(cls))))
+        outside = sorted(set(range(s)) - cls)
+        if outside:
+            cls.add(draw(st.sampled_from(outside)))
+    perm = draw(st.permutations(range(s)))
+    subs = [frozenset(perm[e] for e in S) for S in subs]
+    return s, draw(st.permutations(subs))
+
+
+@given(_near_misses())
+@settings(max_examples=300, deadline=None)
+def test_near_misses_agree_with_the_reference(system):
+    s, subsets = system
+    assert canonical_set_system(s, subsets) == _reference_form(s, subsets, 10**4)
+
+
+def test_pencils_and_triangles_classify_quickly():
+    import steiner_ekr as se
+
+    design = se.hermitian_unital(4)
+    start = time.perf_counter()
+    types = se.classify(design, se.enumerate_maximal_ekr(design, min_size=16))
+    assert time.perf_counter() - start < 0.2
+    assert [(etype.label, count) for etype, count in types] == [("point-pencil", 65)]

@@ -327,6 +327,12 @@ def test_bad_parameter_exits_one(capsys):
         assert code == 1 and err.startswith("error: "), design
 
 
+def test_oversized_design_exits_one(capsys):
+    code, out, err = run(capsys, "validate", "--design", "projective:997")
+    assert (code, out) == (1, "")
+    assert err == "error: projective:997 would have 995007 blocks, more than the 2000 allowed\n"
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--design", f"file:{tmp_path}/absent.txt")
     assert code == 1 and err.startswith("error: ")

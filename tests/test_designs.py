@@ -1,12 +1,15 @@
 """Design construction, validation, serialization, and resolvability."""
 
 import io
+import tracemalloc
 
 import pytest
 
 import steiner_ekr as se
 from steiner_ekr.designs import (
+    MAX_BLOCKS,
     Design,
+    DesignError,
     DesignParams,
     NotResolvable,
     PairRepeated,
@@ -180,3 +183,36 @@ def test_parallel_classes_one_factorization():
 def test_not_resolvable():
     with pytest.raises(NotResolvable):
         parallel_classes(se.projective_plane(2))  # 3 does not divide 7
+
+
+# -- size guard --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "maker, param, blocks",
+    [
+        (se.projective_plane, 997, 997**2 + 997 + 1),
+        (se.affine_plane, 1000, 1000**2 + 1000),
+        (se.pg3_line_design, 1024, (1024**2 + 1) * (1024**2 + 1024 + 1)),
+        (se.hermitian_unital, 256, 256**2 * (256**2 - 256 + 1)),
+        (se.hermitian_unital, 10**18, 10**36 * (10**36 - 10**18 + 1)),
+        (se.complete_graph, 100000, 100000 * 99999 // 2),
+    ],
+)
+def test_oversized_designs_are_refused_before_building(maker, param, blocks):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DesignError) as exc:
+            maker(param)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f":{param} would have {blocks} blocks, more than the {MAX_BLOCKS} allowed" in str(exc.value)
+    assert peak < 100_000
+
+
+def test_block_cap_boundary():
+    # K_64 has 2016 edges, K_63 has 1953
+    assert se.complete_graph(63).b == 1953 <= MAX_BLOCKS
+    with pytest.raises(DesignError, match="kgraph:64 would have 2016 blocks"):
+        se.complete_graph(64)

@@ -8,6 +8,7 @@ admit one; the larger designs are pinned so any behavioural drift surfaces.
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -205,6 +206,33 @@ def test_budget_is_enforced():
         enumerate_maximal_ekr(d, max_count=10)
     assert exc.value.count == 201
     assert len(enumerate_maximal_ekr(d, max_count=201)) == 201
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_maximal_ekr(d, max_count=10, workers=2)
+    assert exc.value.count == 201
+
+
+def _enumeration_peak(design, **kwargs):
+    """tracemalloc peak of one enumerate_maximal_ekr call, and the family count."""
+    tracemalloc.start()
+    try:
+        try:
+            count = len(enumerate_maximal_ekr(design, **kwargs))
+        except BudgetExceeded as exc:
+            count = exc.count
+        return tracemalloc.get_traced_memory()[1], count
+    finally:
+        tracemalloc.stop()
+
+
+def test_budget_keeps_memory_small():
+    # unital:3 rather than unital:4: tracing slows the search about 20-fold,
+    # to some 8 s a call on unital:4's 12,545 families
+    d = se.hermitian_unital(3)
+    intersection_adjacency(d)  # cached on the design, so left out of both peaks
+    capped, count = _enumeration_peak(d, max_count=10)
+    full, full_count = _enumeration_peak(d)
+    assert count == full_count == 1540
+    assert capped < full / 20
 
 
 def test_max_ekr_size_returns_witness():
