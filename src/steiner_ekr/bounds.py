@@ -494,14 +494,15 @@ def locate_deficit_interval(k: int, deficit: int) -> int | None:
 
     For d < k-1, d >= lo(I_c) reduces to d^2 - d >= c(k-1-d): c in closed form, which one
     cmp_surd pair certifies.  With floor(C_k), three sign tests and two comparisons at any k.
+    Like deficit_interval, it raises DomainError for every k below 14.
     """
+    if k < 14:
+        raise DomainError("deficit windows are set up for k at least 14")
     if deficit < 0:
         raise DomainError("deficit must be nonnegative")
     if deficit * deficit < k - 1:
         return 0
     top = surd_floor(_axis_limit(k))
-    if top < 1:
-        return None
     c = top if deficit >= k - 1 else min((deficit**2 - deficit) // (k - 1 - deficit), top)
     lo, hi = deficit_interval(k, c)
     probe = SurdExpr.rational(deficit)

@@ -3,14 +3,13 @@
 Verbs: generate, validate, enumerate, classify, onan, max-size (design verbs),
 bound, sweep (parameter verbs).  Exit status 0 on success, 1 on a domain
 error (diagnostic on stderr), 2 on a usage error.  Identical argv always
-produces byte-identical output, for any worker count.
+produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -118,16 +117,6 @@ def _ids(blocks) -> str:
     return " ".join(map(str, blocks))
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    raw = os.environ.get("EKR_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DomainError(f"EKR_WORKERS={raw!r} is not an integer") from None
-
-
 # -- design verbs ------------------------------------------------------------
 
 
@@ -159,9 +148,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     design = _parse_design(args.design)
-    families = enumerate_maximal_ekr(
-        design, min_size=args.min_size, max_count=args.max_count, workers=_workers(args)
-    )
+    families = enumerate_maximal_ekr(design, min_size=args.min_size, max_count=args.max_count)
     head = {"design": _summary(design, args.design), "min_size": args.min_size}
     if args.size_only:
         sizes = sorted(Counter(map(len, families)).items(), reverse=True)
@@ -189,9 +176,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classify(args) -> int:
     design = _parse_design(args.design)
-    families = enumerate_maximal_ekr(
-        design, min_size=args.min_size, max_count=args.max_count, workers=_workers(args)
-    )
+    families = enumerate_maximal_ekr(design, min_size=args.min_size, max_count=args.max_count)
     report = classification_report(design, families, source=args.design)
     types = report["types"]
     text = [f"types: {len(types)} (maximal families: {report['family_count']})"]
@@ -371,7 +356,7 @@ def _add_design_opts(p, enumerating=False):
     if enumerating:
         p.add_argument("--min-size", type=int, default=1)
         p.add_argument("--max-count", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None, help="default $EKR_WORKERS or 1")
+        p.add_argument("--workers", type=int, default=None, help="accepted and ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:

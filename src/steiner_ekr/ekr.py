@@ -4,8 +4,7 @@ Block families are bit vectors over block indices, and the pairwise
 intersection relation is one adjacency bitmask per block, so the maximality
 and enumeration loops are word-parallel.  Enumeration is Bron-Kerbosch with
 pivoting over a degeneracy vertex order; ties always break toward the smaller
-block index, which makes every stream deterministic and worker-count
-independent.
+block index, which makes every stream deterministic.
 """
 
 from __future__ import annotations
@@ -238,26 +237,6 @@ def _bk_pivot(adj, R: list[int], P: int, X: int, min_size: int, out: _Cliques):
         X |= bit
 
 
-def _bk_roots(adj, order, lo: int, hi: int, min_size: int, cap: float) -> _Cliques:
-    """Maximal cliques whose degeneracy-first vertex lies in order[lo:hi]."""
-    later = [0] * len(order)
-    running = 0
-    for i in range(len(order) - 1, -1, -1):
-        later[i] = running
-        running |= 1 << order[i]
-    out = _Cliques(cap)
-    for i in range(lo, hi):
-        v = order[i]
-        earlier = ((1 << len(order)) - 1) & ~later[i] & ~(1 << v)
-        _bk_pivot(adj, [v], adj[v] & later[i], adj[v] & earlier, min_size, out)
-    return out
-
-
-def _bk_worker(args) -> tuple[int, list[tuple[int, ...]]]:
-    found = _bk_roots(*args)
-    return found.count, found.kept
-
-
 def enumerate_maximal_ekr(
     design: Design,
     min_size: int = 1,
@@ -267,38 +246,29 @@ def enumerate_maximal_ekr(
     """Every maximal intersecting family with at least min_size blocks.
 
     The result is materialised and sorted by block index tuple, so identical
-    inputs give identical streams for any worker count.  When more than
-    max_count families exist the search raises BudgetExceeded rather than
-    truncate silently: it keeps at most max_count families (per worker) but
-    counts them all, so the exception's count is exact and memory stays
-    O(max_count).
+    inputs give identical streams.  When more than max_count families exist
+    the search raises BudgetExceeded rather than truncate silently: it keeps
+    at most max_count families but counts them all, so the exception's count
+    is exact and memory stays O(max_count).  workers is accepted and ignored;
+    the search runs in this process.
     """
     if min_size < 1:
         min_size = 1
     cap = math.inf if max_count is None else max_count
     adj = intersection_adjacency(design)
-    order = _degeneracy_order(adj)
-    n = len(order)
-    if workers <= 1 or n < 4 * workers:
-        found = _bk_roots(adj, order, 0, n, min_size, cap)
-        count, cliques = found.count, found.kept
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = -(-n // workers)
-        chunks = [(adj, order, lo, min(lo + step, n), min_size, cap) for lo in range(0, n, step)]
-        count, cliques = 0, []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_count, part in pool.map(_bk_worker, chunks):
-                count += part_count
-                cliques.extend(part)
-    if count > cap:
+    out = _Cliques(cap)
+    # each root's cliques avoid the roots before it in degeneracy order
+    done = 0
+    for v in _degeneracy_order(adj):
+        _bk_pivot(adj, [v], adj[v] & ~done, adj[v] & done, min_size, out)
+        done |= 1 << v
+    if out.count > cap:
         raise BudgetExceeded(
-            f"{count} maximal families exceed the requested cap {max_count}",
-            count=count,
+            f"{out.count} maximal families exceed the requested cap {max_count}",
+            count=out.count,
         )
-    cliques.sort()
-    return [BlockSet(design, c) for c in cliques]
+    out.kept.sort()
+    return [BlockSet(design, c) for c in out.kept]
 
 
 def maximal_family_sizes(
@@ -307,10 +277,10 @@ def maximal_family_sizes(
     """Size histogram of the maximal families, largest size first.
 
     The families are enumerated into a list first, so memory grows with
-    their number.
+    their number.  workers is accepted and ignored.
     """
     sizes: dict[int, int] = {}
-    for fam in enumerate_maximal_ekr(design, min_size=min_size, workers=workers):
+    for fam in enumerate_maximal_ekr(design, min_size=min_size):
         sizes[len(fam)] = sizes.get(len(fam), 0) + 1
     return dict(sorted(sizes.items(), reverse=True))
 

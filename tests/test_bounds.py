@@ -430,12 +430,16 @@ def test_locate_deficit_interval_spots():
 
 
 def test_locate_deficit_interval_matches_the_linear_scan():
-    # k < 14 has no windows past I_0: the scan raises DomainError or answers None
-    for k in range(2, 301):
+    for k in range(14, 301):
         deficits = range(0, k + 3)
         expected = _locate_by_scan(k, deficits)
         for deficit in deficits:
             assert _outcome(locate_deficit_interval, k, deficit) == expected[deficit], (k, deficit)
+    # below k = 14 there are no windows: the same error as deficit_interval at every deficit
+    for k in range(2, 14):
+        for deficit in range(-1, k + 3):
+            with pytest.raises(DomainError, match="set up for k at least 14"):
+                locate_deficit_interval(k, deficit)
 
 
 @given(st.integers(min_value=14, max_value=10**40), st.data())

@@ -378,20 +378,20 @@ def test_worker_count_does_not_change_output(capsys, monkeypatch):
     assert env == base
 
 
-def test_bad_worker_env_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("EKR_WORKERS", "many")
-    code, _, err = run(capsys, "enumerate", "--design", "projective:2")
-    assert code == 1 and "EKR_WORKERS" in err
-
-
-def test_cli_start_does_not_import_the_worker_pool():
-    # only a workers > 1 enumeration needs concurrent.futures, and with it
-    # multiprocessing and logging; importing them costs every CLI start
+def test_enumerate_imports_no_process_pool():
+    # enumeration runs in this process whatever --workers says: loading
+    # concurrent.futures or multiprocessing would cost every CLI start
     src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
-    probe = "import sys, steiner_ekr.cli; print('concurrent.futures' in sys.modules)"
+    probe = (
+        "import contextlib, io, sys\n"
+        "from steiner_ekr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['enumerate', '--design', 'sts13:1', '--workers', '2'])\n"
+        "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "False\n"
+    assert out == "0 []\n"
