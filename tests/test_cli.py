@@ -378,6 +378,30 @@ def test_worker_count_does_not_change_output(capsys, monkeypatch):
     assert env == base
 
 
+def test_bad_worker_env_is_ignored(capsys, monkeypatch):
+    # EKR_WORKERS is not read, so a value that is not a number changes nothing
+    base = run(capsys, "enumerate", "--design", "projective:2")
+    monkeypatch.setenv("EKR_WORKERS", "many")
+    assert run(capsys, "enumerate", "--design", "projective:2") == base
+    assert base[0] == 0
+
+
+def test_cli_start_does_not_import_the_worker_pool():
+    # importing the CLI must not pull in concurrent.futures, and with it
+    # multiprocessing and logging: they would cost every CLI start
+    src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
+    probe = (
+        "import sys, steiner_ekr.cli\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_enumerate_imports_no_process_pool():
     # enumeration runs in this process whatever --workers says: loading
     # concurrent.futures or multiprocessing would cost every CLI start
