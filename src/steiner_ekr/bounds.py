@@ -1,8 +1,9 @@
 """Exact bound formulas, thresholds, and inequality sweeps for intersecting families.
 
 Everything here is evaluated in exact arithmetic: rationals stay rationals,
-square roots become SurdExpr comparisons, cube roots go through integer
-bracketing.  Floors gallop and bisect on exact sign tests and are certified
+square roots become SurdExpr comparisons, and a cube-root expression takes the
+sign of its field norm, with integer root brackets only for the floor's first
+guess.  Floors gallop and bisect on exact sign tests and are certified
 against consecutive integers, never by rounding a float.  Sweep functions
 return certificates listing every failing case: an empty list is the proof.
 """
@@ -18,12 +19,12 @@ from .errors import BudgetExceeded, DomainError
 from .exactnum import (
     Rational,
     SurdExpr,
-    cmp_double_surd,
     cmp_surd,
     _floor_from_sign,
     icbrt_floor,
     cbrt_quadratic_sign,
     surd_floor,
+    surd_sign,
 )
 
 # Largest deficit per block size for which the counting bound stays below the
@@ -154,46 +155,8 @@ def multiplicity_cap_bound(k: int, max_mult: int) -> int:
     return max_mult * k - k + 1
 
 
-def _branch_report(formula: str, inputs: dict, branches: list[Fraction]) -> BoundReport:
-    value = branches[0]
-    active = 1
-    for i, cand in enumerate(branches[1:], start=2):
-        if cand > value:
-            value, active = cand, i
-    return BoundReport(formula, inputs, value, math.floor(value), active)
-
-
-def counting_bound(k: int, r: int, excess: int) -> BoundReport:
-    """Family size cap from the two-branch counting argument.
-
-    excess is the number of covered points beyond k(k-1).  The k=2
-    denominators are a genuine domain edge, not a removable one, so k < 3 is
-    rejected outright.
-    """
-    if k < 3:
-        raise DomainError("counting bound needs block size at least 3")
-    k, r, b = Fraction(k), Fraction(r), Fraction(excess)
-    branch1 = (
-        k * k - k + 1
-        - 2 * (r - k) * (k * k - k + 1 - r) / (k * (k - 2))
-        + b * (b - 1) / ((k - 1) * (k - 2))
-        + 2 * (b - 1) * (k * k - k - r) / ((k - 1) * (k - 2))
-    )
-    branch2 = (
-        k * k - r - (r - 1) / (k - 2)
-        + b * (b - 1 - r + 2 * k * (k - 1)) / (k * (k - 2))
-    )
-    return _branch_report(
-        "counting", {"k": int(k), "r": int(r), "excess": int(b)}, [branch1, branch2]
-    )
-
-
-def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
-    """The counting bound with r eliminated via r = (k-1)^2 - deficit.
-
-    Negative deficits are allowed; they correspond to r above (k-1)^2.
-    Agrees with counting_bound(k, (k-1)^2 - deficit, excess) identically.
-    """
+def _counting(formula: str, inputs: dict, k: int, deficit: int, excess: int) -> BoundReport:
+    """The two-branch counting bound at r = (k-1)^2 - deficit; a tie keeps branch 1."""
     if k < 3:
         raise DomainError("counting bound needs block size at least 3")
     k, R, b = Fraction(k), Fraction(deficit), Fraction(excess)
@@ -207,11 +170,29 @@ def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
         k - 1 + R + R / (k - 2)
         + b * (b + k * k + R - 2) / (k * (k - 2))
     )
-    return _branch_report(
-        "counting-deficit",
-        {"k": int(k), "deficit": int(R), "excess": int(b)},
-        [branch1, branch2],
-    )
+    value, active = (branch2, 2) if branch2 > branch1 else (branch1, 1)
+    return BoundReport(formula, inputs, value, math.floor(value), active)
+
+
+def counting_bound(k: int, r: int, excess: int) -> BoundReport:
+    """Family size cap from the two-branch counting argument.
+
+    excess is the number of covered points beyond k(k-1).  The k=2
+    denominators are a genuine domain edge, not a removable one, so k < 3 is
+    rejected outright.
+    """
+    inputs = {"k": int(k), "r": int(r), "excess": int(excess)}
+    return _counting("counting", inputs, k, (k - 1) ** 2 - r, excess)
+
+
+def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
+    """The counting bound with r eliminated via r = (k-1)^2 - deficit.
+
+    Negative deficits are allowed; they correspond to r above (k-1)^2.
+    Agrees with counting_bound(k, (k-1)^2 - deficit, excess) identically.
+    """
+    inputs = {"k": int(k), "deficit": int(deficit), "excess": int(excess)}
+    return _counting("counting-deficit", inputs, k, deficit, excess)
 
 
 def cover_range_submax(k: int, shortfall: int) -> tuple[Rational, Rational]:
@@ -229,6 +210,43 @@ def cover_range_submax(k: int, shortfall: int) -> tuple[Rational, Rational]:
     lo = Fraction(k * (k - 1))
     hi = lo + (a * a - a) / (k - 1 - a)
     return lo, hi
+
+
+def _count_vectors(l: int, s1: int, s2: int):
+    """Every nonnegative (n_1..n_l) with sum i n_i = s1 and sum i(i-1) n_i = s2.
+
+    Yields (ns, lhs) with ns[i] = n_i (ns[0] unused; one list, updated in
+    place) and lhs = sum (i-1) n_i, ordered by (n_l, ..., n_3) ascending.
+    n_i is 0 wherever i(i-1) > s2, so the scan runs over n_top..n_3 for the
+    largest top <= l with top(top-1) <= s2 and solves for n_2 and n_1.
+    Before n_i is chosen, left2[i] and used1[i] are the parts of s2 still free
+    and of s1 already taken, and acc[i] is sum_{j>i} (j-1) n_j.
+    """
+    top = min(l, (math.isqrt(4 * s2 + 1) + 1) // 2)
+    ns = [0] * (l + 1)
+    size = max(top, 2) + 1
+    left2, used1, acc = [s2] * size, [0] * size, [0] * size
+    while True:
+        rem2 = left2[2]
+        n1 = s1 - used1[2] - rem2
+        if rem2 % 2 == 0 and n1 >= 0:
+            ns[2], ns[1] = rem2 // 2, n1
+            yield ns, acc[2] + ns[2]
+        # raise the lowest n_i that has room and reset every n_j below it
+        i = 3
+        while i <= top and (
+            ns[i] + 1 > left2[i] // (i * (i - 1)) or used1[i] + i * (ns[i] + 1) > s1
+        ):
+            i += 1
+        if i > top:
+            return
+        ns[i] += 1
+        below = (
+            left2[i] - i * (i - 1) * ns[i], used1[i] + i * ns[i], acc[i] + (i - 1) * ns[i]
+        )
+        for j in range(2, i):
+            ns[j] = 0
+            left2[j], used1[j], acc[j] = below
 
 
 def certify_moment_inequality(
@@ -264,37 +282,12 @@ def certify_moment_inequality(
 
     failures: list[tuple] = []
     cases = 0
-    ns = [0] * (l + 1)  # ns[i] is n_i; index 0 unused
-
-    def scan(i: int, rem2: int, used1: int):
-        nonlocal cases
-        if i == 2:
-            if rem2 % 2:
-                return
-            n2 = rem2 // 2
-            n1 = s1 - used1 - 2 * n2
-            if n1 < 0:
-                return
-            cases += 1
-            if cases > budget:
-                raise BudgetExceeded(
-                    f"moment search passed {budget} cases", count=cases
-                )
-            ns[2], ns[1] = n2, n1
-            lhs = sum((j - 1) * ns[j] for j in range(2, l + 1))
-            if lhs > rhs:
-                failures.append(tuple(ns[1:]))
-            return
-        w = i * (i - 1)
-        top = rem2 // w
-        for n in range(top + 1):
-            if used1 + i * n > s1:
-                break
-            ns[i] = n
-            scan(i - 1, rem2 - w * n, used1 + i * n)
-        ns[i] = 0
-
-    scan(l, s2, 0)
+    for ns, lhs in _count_vectors(l, s1, s2):
+        cases += 1
+        if cases > budget:
+            raise BudgetExceeded(f"moment search passed {budget} cases", count=cases)
+        if lhs > rhs:
+            failures.append(tuple(ns[1:]))
     return SweepCertificate("moments", ranges, cases, tuple(failures))
 
 
@@ -326,7 +319,7 @@ def near_extremal_threshold(k: int, r: int) -> NearExtremalVerdict:
         raise DomainError("near-extremal window needs block size at least 4")
     if r > k * k - k:
         return NearExtremalVerdict.OUTSIDE
-    if cmp_double_surd(Fraction(r), Fraction(0), 0, Fraction(k * k - 3 * k + 2), Fraction(3, 4), k) < 0:
+    if cmp_surd(SurdExpr.rational(r), near_extremal_cutoff(k)) < 0:
         return NearExtremalVerdict.OUTSIDE
     if (k, r) == (4, 8):
         return NearExtremalVerdict.BOUND_ONLY
@@ -449,21 +442,13 @@ def sweep_large_k(k_max: int = 50, c_sampler=None) -> SweepCertificate:
                     failures.append(("negative-discriminant", k, b))
                     continue
                 lead = Fraction(k ** 3 - 7 * k * k + 10 * k - 2 * b * k - 2, denom)
-                if not (
-                    cmp_double_surd(lead, Fraction(-1, denom), disc, rhs.a, rhs.b, rhs.n) < 0
-                ):
+                if not cmp_surd(SurdExpr(lead, Fraction(-1, denom), disc), rhs) < 0:
                     failures.append(("first", k, c, b))
         cases += 1
         disc0 = discriminant(0, k)
         if disc0 < 0:
             failures.append(("negative-discriminant", k, 0))
-        elif not (
-            cmp_surd(
-                SurdExpr(Fraction(k ** 3 - 7 * k * k + 10 * k - 2, denom), Fraction(-1, denom), disc0),
-                SurdExpr.rational(0),
-            )
-            < 0
-        ):
+        elif surd_sign(k**3 - 7 * k * k + 10 * k - 2, -1, disc0) >= 0:  # times 4(k-1) > 0
             failures.append(("second", k))
     return SweepCertificate(
         "large-k",
@@ -515,15 +500,10 @@ def locate_deficit_interval(k: int, deficit: int) -> int | None:
 
 
 def unital_counting_bound(q: int, excess: int) -> BoundReport:
-    """Counting bound specialized to unital parameters (k = q+1, r = q^2)."""
+    """Counting bound specialized to unital parameters (k = q+1, r = q^2, so deficit 0)."""
     if q < 2:
         raise DomainError("unital order must be at least 2")
-    qf, b = Fraction(q), Fraction(excess)
-    branch1 = qf * qf - qf + 1 + b * (b - 1) / (qf * (qf - 1)) + 2 * b / (qf - 1)
-    branch2 = qf + b * qf * (qf + 2) / (qf * qf - 1) + b * (b - 1) / (qf * qf - 1)
-    return _branch_report(
-        "unital-counting", {"q": q, "excess": int(b)}, [branch1, branch2]
-    )
+    return _counting("unital-counting", {"q": q, "excess": int(excess)}, q + 1, 0, excess)
 
 
 def unital_second_max_bound(q: int) -> BoundReport:

@@ -156,16 +156,6 @@ class Design:
                 adj[j] |= m
         return tuple(a & ~(1 << j) for j, a in enumerate(adj))
 
-    @cached_property
-    def pair_points(self) -> dict[tuple[int, int], int]:
-        """The unique common point of each intersecting block pair (i < j)."""
-        table: dict[tuple[int, int], int] = {}
-        for p, through in enumerate(self.incidence):
-            for a in range(len(through)):
-                for b in range(a + 1, len(through)):
-                    table[(through[a], through[b])] = p
-        return table
-
     def block_index(self, block) -> int:
         """Index of a block given as an iterable of points."""
         key = tuple(sorted(block))

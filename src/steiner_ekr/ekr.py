@@ -341,7 +341,7 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
     so the first configuration in lexicographic order is returned.
     """
     adj = intersection_adjacency(design)
-    pairs = design.pair_points
+    masks = design.block_masks
     pencil = design.pencil_masks
     n = design.b
     for a in range(n):
@@ -351,13 +351,17 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
             bit_b = ma & -ma
             b = bit_b.bit_length() - 1
             ma ^= bit_b
-            # c off the pencil of p_ab makes p_ab, p_ac and p_bc distinct
-            mc = (na & adj[b] & ~pencil[pairs[(a, b)]]) >> (b + 1) << (b + 1)
+            # p_ab is the one point blocks a and b share; c off its pencil
+            # makes p_ab, p_ac and p_bc distinct
+            p_ab = (masks[a] & masks[b]).bit_length() - 1
+            mc = (na & adj[b] & ~pencil[p_ab]) >> (b + 1) << (b + 1)
             while mc:
                 bit_c = mc & -mc
                 c = bit_c.bit_length() - 1
                 mc ^= bit_c
-                md = mc & adj[c] & ~pencil[pairs[(a, c)]] & ~pencil[pairs[(b, c)]]
+                p_ac = (masks[a] & masks[c]).bit_length() - 1
+                p_bc = (masks[b] & masks[c]).bit_length() - 1
+                md = mc & adj[c] & ~pencil[p_ac] & ~pencil[p_bc]
                 if md:
                     return (a, b, c, (md & -md).bit_length() - 1)
     return None

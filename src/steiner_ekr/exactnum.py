@@ -3,7 +3,8 @@
 Rationals are plain ``fractions.Fraction`` (already reduced, positive
 denominator, arbitrary precision).  Quadratic surds a + b*sqrt(n) are compared
 through sign analysis with at most two squarings; equality is decided exactly,
-never through an epsilon.  Integer k-th roots carry explicit bracketing
+never through an epsilon.  A polynomial in a real cube root takes the sign of
+its field norm, one integer.  Integer cube roots carry explicit bracketing
 witnesses so a reported floor can be re-checked by multiplication alone.
 """
 
@@ -44,36 +45,22 @@ class RootBracket:
             raise ValueError("bracket does not hold")
 
 
-def _integer_root(value: int, degree: int) -> int:
-    if value == 0:
-        return 0
+def icbrt_floor(value: int) -> RootBracket:
+    """Floor of the cube root of an integer, with a verified bracket."""
+    if value < 0:
+        raise ValueError("negative radicand")
     # Newton iteration from an over-estimate, then exact fixup.
-    x = 1 << -(-value.bit_length() // degree)
-    while True:
-        y = ((degree - 1) * x + value // x ** (degree - 1)) // degree
+    x = 1 << -(-value.bit_length() // 3)
+    while value:
+        y = (2 * x + value // (x * x)) // 3
         if y >= x:
             break
         x = y
-    while x**degree > value:
+    while x**3 > value:
         x -= 1
-    while (x + 1) ** degree <= value:
+    while (x + 1) ** 3 <= value:
         x += 1
-    return x
-
-
-def icbrt_floor(value: int, degree: int = 3) -> RootBracket:
-    """Floor of value ** (1/degree) for integers, with a verified bracket."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    if degree == 1 or value in (0, 1):
-        root = value
-    elif degree == 2:
-        root = isqrt(value)
-    else:
-        root = _integer_root(value, degree)
-    return RootBracket(value, degree, root)
+    return RootBracket(value, 3, x)
 
 
 @dataclass(frozen=True)
@@ -102,20 +89,6 @@ class SurdExpr:
     def sqrt(cls, n: int, coef=1, shift=0) -> "SurdExpr":
         return cls(_frac(shift), _frac(coef), n)
 
-    def plus(self, x) -> "SurdExpr":
-        return SurdExpr(self.a + _frac(x), self.b, self.n)
-
-    def times(self, x) -> "SurdExpr":
-        c = _frac(x)
-        return SurdExpr(self.a * c, self.b * c, self.n)
-
-    def cubed(self) -> "SurdExpr":
-        a, b, n = self.a, self.b, self.n
-        return SurdExpr(a**3 + 3 * a * b * b * n, 3 * a * a * b + b**3 * n, n)
-
-    def sign(self) -> int:
-        return surd_sign(self.a, self.b, self.n)
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * self.n**0.5
 
@@ -143,14 +116,15 @@ def surd_sign(a, b, n: int) -> int:
     return sa if a * a > b * b * n else sb
 
 
-def double_surd_sign(a, b, m: int, c, n: int) -> int:
-    """Exact sign of a + b*sqrt(m) + c*sqrt(n), two squarings at most."""
-    if m < 0 or n < 0:
-        raise ValueError("negative radicand")
-    return _int_double_sign(m, n, *_scaled(a, b, c))
+def cmp_surd(lhs: SurdExpr, rhs: SurdExpr) -> int:
+    """-1 / 0 / +1 ordering of two quadratic surds, decided exactly.
 
-
-def _int_double_sign(m: int, n: int, a: int, b: int, c: int) -> int:
+    lhs - rhs is a + b*sqrt(m) + c*sqrt(n) with m = lhs.n and n = rhs.n; its
+    sign takes two squarings at most.
+    """
+    m, n = lhs.n, rhs.n
+    a, rhs_a, b, c = _scaled(lhs.a, rhs.a, lhs.b, -rhs.b)
+    a -= rhs_a
     rm = isqrt(m)
     if rm * rm == m:
         return surd_sign(a + b * rm, c, n)
@@ -168,18 +142,6 @@ def _int_double_sign(m: int, n: int, a: int, b: int, c: int) -> int:
     # a and the radical part have opposite signs: square once more.
     d2 = surd_sign(a * a - b * b * m - c * c * n, -2 * b * c, m * n)
     return 0 if d2 == 0 else (sa if d2 > 0 else st)
-
-
-def cmp_surd(lhs: SurdExpr, rhs: SurdExpr) -> int:
-    """-1 / 0 / +1 ordering of two quadratic surds, decided exactly."""
-    a, c, b, d = _scaled(lhs.a, rhs.a, lhs.b, rhs.b)
-    return _int_double_sign(lhs.n, rhs.n, a - c, b, -d)
-
-
-def cmp_double_surd(p, q, m: int, s, t, n: int) -> int:
-    """Ordering of p + q*sqrt(m) versus s + t*sqrt(n)."""
-    p, s, q, t = _scaled(p, s, q, t)
-    return double_surd_sign(p - s, q, m, -t, n)
 
 
 def _floor_from_sign(sign_at, guess: int) -> int:
@@ -211,37 +173,21 @@ def surd_floor(x: SurdExpr) -> int:
 
 
 def cbrt_quadratic_sign(c2, c1, c0, radicand: int) -> int:
-    """Exact sign of c2*t**2 + c1*t + c0 at t = radicand ** (1/3).
+    """Exact sign of x = c2*t**2 + c1*t + c0 at t = radicand ** (1/3).
 
     Cube-root expressions are degree three over the rationals, so a plain
-    squaring chain does not apply.  Instead the quadratic is factored through
-    its real roots; t is compared against each root by cubing, which turns the
-    comparison back into a quadratic-surd sign.
+    squaring chain does not apply.  For a radicand n that is not a cube, the
+    other two conjugates of x (t replaced by w*t and w*w*t, w a primitive
+    cube root of unity) are a complex pair, so x has the sign of its norm
+    c0^3 + c1^3 n + c2^3 n^2 - 3 c0 c1 c2 n, which is zero only when x is.
+    A perfect cube n = m^3 is evaluated directly: there the norm also vanishes
+    on c2 (t^2 + m t + m^2), whose value 3 c2 m^2 is not zero.
     """
-    c2, c1, c0 = _frac(c2), _frac(c1), _frac(c0)
     if radicand < 0:
         raise ValueError("negative radicand")
-    root = icbrt_floor(radicand, 3).floor_root
+    c2, c1, c0 = _scaled(c2, c1, c0)
+    root = icbrt_floor(radicand).floor_root
     if root**3 == radicand:
-        return _sign(c2 * root * root + c1 * root + c0)
-    if c2 == 0:
-        if c1 == 0:
-            return _sign(c0)
-        rho = -c0 / c1
-        return _sign(c1) * _sign(Fraction(radicand) - rho**3)
-    bb = c1 / c2
-    cc = c0 / c2
-    disc = bb * bb - 4 * cc
-    if disc < 0:
-        return _sign(c2)
-    half = Fraction(1, 2)
-    sqrt_disc = SurdExpr(0, Fraction(1, disc.denominator), disc.numerator * disc.denominator)
-    lo = sqrt_disc.times(-half).plus(-bb * half)
-    hi = sqrt_disc.times(half).plus(-bb * half)
-    return _sign(c2) * _cbrt_vs_surd(radicand, lo) * _cbrt_vs_surd(radicand, hi)
-
-
-def _cbrt_vs_surd(radicand: int, rho: SurdExpr) -> int:
-    # cube is strictly increasing on the reals, so compare radicand with rho**3
-    cub = rho.cubed()
-    return surd_sign(Fraction(radicand) - cub.a, -cub.b, cub.n)
+        return _sign((c2 * root + c1) * root + c0)
+    n = radicand
+    return _sign(c0**3 + c1**3 * n + c2**3 * n * n - 3 * c0 * c1 * c2 * n)

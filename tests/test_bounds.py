@@ -3,11 +3,13 @@
 Hand-computed spot values are pinned as fractions; the two counting-bound
 parameterizations are held to exact agreement on a dense grid, and to their
 integer numerators over k(k-1)(k-2) below, which is the strongest
-transcription check available for formulas of this shape.  The window index
+transcription check available for formulas of this shape; the unital
+specialization is held to the paper's closed form.  The window index
 is held to the linear scan it replaced, and the floors to their bracketing
 sign tests at magnitudes up to 10^40.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction as F
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from steiner_ekr.bounds import (
     DEFICIT_CAPS,
     CubeRootBound,
+    _count_vectors,
     NearExtremalVerdict,
     ReplicationVerdict,
     certify_moment_inequality,
@@ -278,6 +281,50 @@ def test_moment_certificate_small_grid():
     assert checked >= 20
 
 
+def _count_vectors_by_brute_force(l, s1, s2):
+    """(n_1..n_l, sum (i-1) n_i) for every solution, ordered by (n_l, ..., n_3)."""
+    out = []
+    ranges = [range(s2 // (i * (i - 1)) + 1) for i in range(l, 2, -1)]
+    for high in itertools.product(*ranges):  # (n_l, ..., n_3)
+        n = dict(zip(range(l, 2, -1), high))
+        rem2 = s2 - sum(i * (i - 1) * m for i, m in n.items())
+        if rem2 < 0 or rem2 % 2:
+            continue
+        n[2] = rem2 // 2
+        n[1] = s1 - sum(i * m for i, m in n.items())
+        if n[1] >= 0:
+            out.append((tuple(n[i] for i in range(1, l + 1)), sum((i - 1) * n[i] for i in n)))
+    return out
+
+
+def test_count_vectors_match_brute_force():
+    checked = 0
+    for l in range(2, 7):
+        for s1 in range(0, 31, 3):
+            for s2 in range(0, 41, 2):
+                got = [(tuple(ns[1:]), lhs) for ns, lhs in _count_vectors(l, s1, s2)]
+                assert got == _count_vectors_by_brute_force(l, s1, s2), (l, s1, s2)
+                checked += len(got)
+    assert checked > 1000
+
+
+def test_moment_certificate_starts_at_the_largest_admissible_multiplicity():
+    # s2 = 0 forces n_2 = ... = n_l = 0: one vector, however long it is
+    cert = certify_moment_inequality(2000, 2, 0, 2001)
+    assert cert.certified and cert.total_cases == 1
+    assert cert.ranges["sum_ii"] == 0 and cert.ranges["sum_i"] == 2001
+    # s2 = 2 leaves only n_2 = 1
+    cert = certify_moment_inequality(2000, -2, 2, 2002)
+    assert cert.certified and cert.total_cases == 1 and cert.ranges["sum_ii"] == 2
+
+
+def test_moment_certificate_large_second_moment_stops_at_the_budget():
+    # s2 = 4,002,000 leaves every multiplicity up to 2000 open
+    with pytest.raises(BudgetExceeded) as exc:
+        certify_moment_inequality(2000, 3, 0, 4000, budget=1000)
+    assert exc.value.count == 1001
+
+
 def test_moment_certificate_rejects_bad_shape():
     with pytest.raises(DomainError):
         certify_moment_inequality(1, 0, 0, 5)
@@ -472,13 +519,21 @@ def test_locate_deficit_interval_is_monotone():
 # -- unital bounds -----------------------------------------------------------------
 
 
+def _unital_counting_closed_form(q, b):
+    """(value, active branch) of the unital counting bound as the paper writes it."""
+    branch1 = q * q - q + 1 + F(b * (b - 1), q * (q - 1)) + F(2 * b, q - 1)
+    branch2 = q + F(b * q * (q + 2), q * q - 1) + F(b * (b - 1), q * q - 1)
+    return (branch2, 2) if branch2 > branch1 else (branch1, 1)
+
+
 def test_unital_counting_specializes_general_bound():
-    for q in range(2, 14):
-        for b in range(0, 6):
-            special = unital_counting_bound(q, b)
-            general = counting_bound(q + 1, q * q, b)
-            assert special.value == general.value, (q, b)
-            assert special.active_branch == general.active_branch
+    for q in list(range(2, 60)) + [199, 10**12 + 39]:
+        for b in list(range(0, 8)) + [q, q * q]:
+            rep = unital_counting_bound(q, b)
+            value, active = _unital_counting_closed_form(q, b)
+            assert (rep.value, rep.active_branch) == (value, active), (q, b)
+            assert rep.floor_value == math.floor(value)
+            assert rep.inputs == {"q": q, "excess": b} and rep.formula == "unital-counting"
     with pytest.raises(DomainError):
         unital_counting_bound(1, 0)
 

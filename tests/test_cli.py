@@ -303,6 +303,17 @@ def test_sweep_moments_text(capsys):
     assert "certified: true" in out
 
 
+def test_sweep_moments_long_vector(capsys):
+    # l = 2000 is past the default recursion limit; s2 = 0 admits one vector
+    code, out, err = run(
+        capsys, "sweep", "--check", "moments",
+        "--l", "2000", "--a", "2", "--excess", "0", "--r", "2001",
+    )
+    assert code == 0 and err == ""
+    assert "total_cases: 1" in out
+    assert "certified: true" in out
+
+
 def test_sweep_large_k_caps_runtime(capsys):
     code, out, _ = run(
         capsys, "sweep", "--check", "large-k", "--k-max", "20", "--format", "json"

@@ -4,7 +4,8 @@ The oracle evaluates every expression in 256-bit fixed point.  At that scale
 the rationals and surds generated here are either exactly zero or larger than
 2^-100 in magnitude, so any disagreement inside the dead zone would mean the
 exact code produced a nonzero verdict for a value the oracle can bound below
-2^-100, which the input magnitudes rule out.
+2^-100, which the input magnitudes rule out.  Cube-root signs, decided by a
+field norm, are also held to the root-factoring form they replaced.
 """
 
 import math
@@ -15,6 +16,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steiner_ekr.bounds import CubeRootBound, unital_second_max_bound
 from steiner_ekr.exactnum import (
     EQUAL,
     GREATER,
@@ -23,7 +25,6 @@ from steiner_ekr.exactnum import (
     SurdExpr,
     _floor_from_sign,
     cbrt_quadratic_sign,
-    cmp_double_surd,
     cmp_surd,
     icbrt_floor,
     surd_floor,
@@ -53,6 +54,48 @@ def fx_surd(a: F, b: F, n: int) -> int:
     return a.numerator * SCALE // a.denominator + b.numerator * fx_sqrt(n) // b.denominator
 
 
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) by bisection on integers."""
+    lo, hi = 0, 1 << (n.bit_length() // 3 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**3 <= n else (lo, mid)
+    return lo
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def cbrt_sign_by_roots(c2, c1, c0, n: int) -> int:
+    """Sign of c2 t^2 + c1 t + c0 at t = n^(1/3) by factoring the quadratic.
+
+    The earlier implementation of cbrt_quadratic_sign, kept as a reference:
+    the quadratic is c2 (t - rho_1)(t - rho_2) over its real roots
+    rho = u + v sqrt(w), and t - rho has the sign of n - rho^3 since cubing is
+    increasing; rho^3 = (u^3 + 3 u v^2 w) + (3 u^2 v + v^3 w) sqrt(w) is a
+    quadratic surd.  No real root means the sign of c2.
+    """
+    c2, c1, c0 = F(c2), F(c1), F(c0)
+    root = _icbrt(n)
+    if root**3 == n:
+        return _sign(c2 * root * root + c1 * root + c0)
+    if c2 == 0:
+        if c1 == 0:
+            return _sign(c0)
+        return _sign(c1) * _sign(n - (-c0 / c1) ** 3)
+    bb, cc = c1 / c2, c0 / c2
+    disc = bb * bb - 4 * cc
+    if disc < 0:
+        return _sign(c2)
+    u, v, w = -bb / 2, F(1, 2 * disc.denominator), disc.numerator * disc.denominator
+
+    def above(u, v):  # sign of t - (u + v sqrt(w))
+        return surd_sign(n - u**3 - 3 * u * v * v * w, -(3 * u * u * v + v**3 * w), w)
+
+    return _sign(c2) * above(u, -v) * above(u, v)
+
+
 # -- integer root brackets --------------------------------------------------
 
 
@@ -64,8 +107,6 @@ def test_icbrt_spot_values():
     assert icbrt_floor(25).floor_root == 2
     assert icbrt_floor(27).floor_root == 3
     assert icbrt_floor(3**30).floor_root == 3**10
-    assert icbrt_floor(16, degree=4).floor_root == 2
-    assert icbrt_floor(15, degree=4).floor_root == 1
 
 
 def test_root_bracket_validates():
@@ -76,18 +117,18 @@ def test_root_bracket_validates():
         RootBracket(27, 3, 2)
 
 
-@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=2, max_value=6))
-def test_icbrt_bracket_property(value, degree):
-    br = icbrt_floor(value, degree=degree)
+@given(st.integers(min_value=0, max_value=10**40))
+def test_icbrt_bracket_property(value):
+    br = icbrt_floor(value)
     f = br.floor_root
-    assert f**degree <= value < (f + 1) ** degree
+    assert br.degree == 3
+    assert f**3 <= value < (f + 1) ** 3
 
 
 def test_icbrt_exact_powers():
-    for base in (2, 3, 10, 12345):
-        for d in (2, 3, 4, 5):
-            assert icbrt_floor(base**d, degree=d).floor_root == base
-            assert icbrt_floor(base**d - 1, degree=d).floor_root == base - 1
+    for base in (2, 3, 10, 12345, 10**13 + 7):
+        assert icbrt_floor(base**3).floor_root == base
+        assert icbrt_floor(base**3 - 1).floor_root == base - 1
 
 
 # -- single surds -----------------------------------------------------------
@@ -101,17 +142,11 @@ def test_cmp_spot_values():
     # dependent radicands: sqrt(8) = 2 sqrt(2)
     assert cmp_surd(SurdExpr(0, 1, 8), SurdExpr(0, 2, 2)) == EQUAL
     assert cmp_surd(SurdExpr(0, 1, 8), SurdExpr(0, 2, 3)) == LESS
-    assert cmp_double_surd(1, 0, 0, 0, 1, 1) == EQUAL
+    assert cmp_surd(SurdExpr(1, 0, 0), SurdExpr(0, 1, 1)) == EQUAL
     assert surd_sign(0, 0, 7) == 0
     assert surd_sign(-3, 1, 9) == 0  # -3 + sqrt(9)
     assert surd_sign(-3, 1, 8) == -1
     assert surd_sign(-3, 1, 10) == 1
-
-
-def test_cubed():
-    # (1 + sqrt(2))^3 = 7 + 5 sqrt(2)
-    assert SurdExpr(1, 1, 2).cubed() == SurdExpr(7, 5, 2)
-    assert SurdExpr(2, 0, 0).cubed() == SurdExpr(8, 0, 0)
 
 
 def test_surd_floor_spot_values():
@@ -195,7 +230,7 @@ def test_double_surd_random_oracle():
         c = F(rng.randint(-50, 50), rng.randint(1, 12))
         d = F(rng.randint(-50, 50), rng.randint(1, 12))
         n = rng.randint(0, 60)
-        got = cmp_double_surd(a, b, m, c, d, n)
+        got = cmp_surd(SurdExpr(a, b, m), SurdExpr(c, d, n))
         val = fx_surd(a, b, m) - fx_surd(c, d, n)
         if abs(val) < (1 << 100):
             assert got == 0 or abs(val) <= 4, (a, b, m, c, d, n, got, val)
@@ -207,9 +242,9 @@ def test_double_surd_random_oracle():
 
 def test_double_surd_exact_cancellations():
     # b^2 m = d^2 n with matched rational parts must compare EQUAL
-    assert cmp_double_surd(F(1, 3), 2, 18, F(1, 3), 6, 2) == EQUAL
-    assert cmp_double_surd(5, F(3, 2), 8, 5, 3, 2) == EQUAL
-    assert cmp_double_surd(5, F(3, 2), 8, 4, 3, 2) == GREATER
+    assert cmp_surd(SurdExpr(F(1, 3), 2, 18), SurdExpr(F(1, 3), 6, 2)) == EQUAL
+    assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(5, 3, 2)) == EQUAL
+    assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(4, 3, 2)) == GREATER
 
 
 def test_surd_floor_random_oracle():
@@ -239,6 +274,14 @@ def test_cbrt_sign_exact_zeros():
         assert cbrt_quadratic_sign(F(1), F(1 - q), F(-q), q**3) == 0
         assert cbrt_quadratic_sign(F(1), F(1 - q), F(-q) + F(1, 10**9), q**3) == 1
         assert cbrt_quadratic_sign(F(1), F(1 - q), F(-q) - F(1, 10**9), q**3) == -1
+
+
+def test_cbrt_sign_on_cubes_where_the_norm_vanishes():
+    # at n = m^3 the norm of c2 (t^2 + m t + m^2) is 0, but its value is 3 c2 m^2
+    for m in range(1, 30):
+        assert cbrt_quadratic_sign(F(1), F(m), F(m * m), m**3) == 1
+        assert cbrt_quadratic_sign(F(-2), F(-2 * m), F(-2 * m * m), m**3) == -1
+        assert cbrt_quadratic_sign(F(1), F(m), F(-2 * m * m), m**3) == 0
 
 
 def test_cbrt_sign_linear_and_constant_cases():
@@ -272,6 +315,51 @@ def test_cbrt_sign_random_oracle():
         assert got == (val > 0) - (val < 0), (c2, c1, c0, q)
         checked += 1
     assert checked > 1300
+
+
+def _near_zero_cases(rng, count):
+    """(c2, c1, c0, n) with c0 one of -m+1..-m-2, m the floor of c2 t^2 + c1 t.
+
+    Those constant terms put the quadratic within two of zero, where a sign
+    test has least room; m comes from CubeRootBound, only to place the inputs.
+    """
+    for _ in range(count):
+        n = rng.choice([rng.randint(0, 10**6), rng.randint(0, 10**40)])
+        c2 = F(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+        c1 = F(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+        m = CubeRootBound(n, F(0), c2, c1).exact_floor()
+        for j in range(-1, 3):
+            yield c2, c1, F(-m - j), n
+
+
+def test_cbrt_sign_norm_matches_root_factoring():
+    rng = random.Random(20261018)
+
+    def coef():
+        if rng.random() < 0.15:
+            return F(0)
+        return F(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+
+    cases = []
+    for _ in range(1500):
+        n = rng.choice(
+            [rng.randint(0, 70), rng.randint(0, 10**12), rng.randint(0, 10**40)]
+            + [rng.randint(0, 10**13) ** 3]
+        )
+        cases.append((coef(), coef(), coef(), n))
+    cases.extend(_near_zero_cases(rng, 300))
+    # the unital floors: q^2 - q + 1 + q^(2/3) - (2/3) q^(1/3) against m-1..m+2
+    for q in list(range(5, 200)) + [rng.randint(200, 10**40) for _ in range(100)]:
+        rep = unital_second_max_bound(q)
+        expr = rep.value
+        for m in range(rep.floor_value - 1, rep.floor_value + 3):
+            cases.append((expr.sq_coef, expr.lin_coef, expr.const - m, q))
+    signs = set()
+    for c2, c1, c0, n in cases:
+        got = cbrt_quadratic_sign(c2, c1, c0, n)
+        assert got == cbrt_sign_by_roots(c2, c1, c0, n), (c2, c1, c0, n)
+        signs.add(got)
+    assert signs == {-1, 0, 1}
 
 
 def test_float_views_are_sane():
