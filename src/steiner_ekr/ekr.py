@@ -3,8 +3,13 @@
 Block families are bit vectors over block indices, and the pairwise
 intersection relation is one adjacency bitmask per block, so the maximality
 and enumeration loops are word-parallel.  Enumeration is Bron-Kerbosch with
-pivoting over a degeneracy vertex order; ties always break toward the smaller
-block index, which makes every stream deterministic.
+Tomita pivoting from a root whose candidates are all blocks.  Every node
+branches in block index order and its pivot ties break toward the smaller
+index, which makes every stream deterministic; no degeneracy order is built,
+since the intersection graph of a 2-(v,k,1) design is regular.  A node whose
+excluded set holds a block meeting every candidate returns at once, and
+children with at most one candidate are settled in their parent's loop.
+Families are kept as bit vectors and sorted by index tuple at the end.
 """
 
 from __future__ import annotations
@@ -176,64 +181,77 @@ def cover_profile(family: BlockSet) -> CoverProfile:
 # -- enumeration -----------------------------------------------------------
 
 
-def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
-    n = len(adj)
-    alive = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        best_v, best_d = -1, n + 1
-        m = alive
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            m ^= bit
-            d = (adj[v] & alive).bit_count()
-            if d < best_d:
-                best_d, best_v = d, v
-        order.append(best_v)
-        alive &= ~(1 << best_v)
-    return order
-
-
 class _Cliques:
-    """The maximal cliques found so far: every one is counted, the first cap are kept."""
+    """The maximal cliques found so far, as bit vectors: all are counted, the first cap kept."""
 
     __slots__ = ("cap", "count", "kept")
 
     def __init__(self, cap: float):
         self.cap = cap
         self.count = 0
-        self.kept: list[tuple[int, ...]] = []
+        self.kept: list[int] = []
+
+    def add(self, mask: int):
+        self.count += 1
+        if self.count <= self.cap:
+            self.kept.append(mask)
 
 
-def _bk_pivot(adj, R: list[int], P: int, X: int, min_size: int, out: _Cliques):
-    if P == 0:
-        if X == 0 and len(R) >= min_size:
-            out.count += 1
-            if out.count <= out.cap:
-                out.kept.append(tuple(sorted(R)))
-        return
-    if len(R) + P.bit_count() < min_size:
-        return
-    # pivot: vertex of P | X covering the most of P
+# Bit i of a byte moved to bit 7 - i.  A little-endian dump of a block mask
+# with its bytes reversed this way lists the blocks from the smallest index
+# down, so of two masks the one holding their smallest differing block has
+# the larger key.
+_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _sort_by_indices(masks: list[int], b: int) -> None:
+    """Sort masks of maximal cliques by their index tuples, in place.
+
+    No maximal clique contains another, so neither of two index tuples is a
+    prefix of the other and the smallest differing block decides their order.
+    """
+    nbytes = (b + 7) // 8
+    masks.sort(key=lambda m: m.to_bytes(nbytes, "little").translate(_REVERSED_BITS), reverse=True)
+
+
+def _bk_pivot(adj, size: int, mask: int, P: int, X: int, min_size: int, out: _Cliques):
+    """Extend the clique mask, of size blocks, by the candidates P (at least two) but not X."""
+    # pivot: the first vertex of P | X covering the most of P.  A vertex of P
+    # covers at most |P| - 1, so one covering all of P lies in X and makes
+    # every clique below extendable.
+    need = P.bit_count()
     cand = P | X
     pivot, best = -1, -1
     while cand:
         bit = cand & -cand
-        u = bit.bit_length() - 1
         cand ^= bit
+        u = bit.bit_length() - 1
         c = (P & adj[u]).bit_count()
         if c > best:
-            best, pivot = c, u
+            if c == need:
+                return
+            pivot, best = u, c
+            if c == need - 1:
+                break
+    size += 1
     ext = P & ~adj[pivot]
     while ext:
         bit = ext & -ext
-        v = bit.bit_length() - 1
         ext ^= bit
-        R.append(v)
-        _bk_pivot(adj, R, P & adj[v], X & adj[v], min_size, out)
-        R.pop()
-        P &= ~bit
+        av = adj[bit.bit_length() - 1]
+        Pv = P & av
+        Xv = X & av
+        # a child with no candidate or one is settled here, not by a call
+        if size + Pv.bit_count() >= min_size:
+            if not Pv:
+                if not Xv:
+                    out.add(mask | bit)
+            elif not Pv & (Pv - 1):
+                if not Xv & adj[Pv.bit_length() - 1]:
+                    out.add(mask | bit | Pv)
+            else:
+                _bk_pivot(adj, size, mask | bit, Pv, Xv, min_size, out)
+        P ^= bit
         X |= bit
 
 
@@ -251,24 +269,28 @@ def enumerate_maximal_ekr(
     at most max_count families but counts them all, so the exception's count
     is exact and memory stays O(max_count).  workers is accepted and ignored;
     the search runs in this process.
+
+    The root of the search is an ordinary node whose candidates are all
+    blocks, so its children are the blocks its pivot misses, and every node
+    branches in block index order.  No degeneracy order is computed: the
+    intersection graph of a 2-(v,k,1) design is regular of degree k(r-1), so
+    its degeneracy is that degree and an order bounds nothing better.  A node
+    returns at once when an excluded block meets every candidate, since no
+    clique below it is then maximal.
     """
     if min_size < 1:
         min_size = 1
     cap = math.inf if max_count is None else max_count
     adj = intersection_adjacency(design)
     out = _Cliques(cap)
-    # each root's cliques avoid the roots before it in degeneracy order
-    done = 0
-    for v in _degeneracy_order(adj):
-        _bk_pivot(adj, [v], adj[v] & ~done, adj[v] & done, min_size, out)
-        done |= 1 << v
+    _bk_pivot(adj, 0, 0, (1 << design.b) - 1, 0, min_size, out)
     if out.count > cap:
         raise BudgetExceeded(
             f"{out.count} maximal families exceed the requested cap {max_count}",
             count=out.count,
         )
-    out.kept.sort()
-    return [BlockSet(design, c) for c in out.kept]
+    _sort_by_indices(out.kept, design.b)
+    return [BlockSet(design, m) for m in out.kept]
 
 
 def maximal_family_sizes(

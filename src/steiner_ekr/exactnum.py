@@ -148,12 +148,19 @@ def _floor_from_sign(sign_at, guess: int) -> int:
     """floor(x) from sign_at(m) = sign(x - m): O(log |floor(x) - guess|) sign tests.
 
     Gallops from the guess in steps 1, 2, 4, ... and then bisects; a guess within one
-    of the floor costs three tests at most.
+    of the floor costs three tests at most.  A sign_at that has not changed sign
+    after 4 * bit_length(guess) + 256 doublings, a distance far beyond any guess
+    error, is taken to be broken: ArithmeticError rather than a walk without end.
     """
+    cap = 1 << (4 * guess.bit_length() + 256)
     lo, hi, step = guess, guess + 1, 1
     while sign_at(lo) < 0:
+        if step > cap:
+            raise ArithmeticError(f"sign oracle never changed sign below the guess {guess}")
         lo, hi, step = lo - step, lo, 2 * step
     while sign_at(hi) >= 0:
+        if step > cap:
+            raise ArithmeticError(f"sign oracle never changed sign above the guess {guess}")
         lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -11,6 +11,7 @@ import random
 import tracemalloc
 import weakref
 
+import networkx as nx
 import pytest
 
 import steiner_ekr as se
@@ -211,6 +212,32 @@ def test_budget_is_enforced():
     assert exc.value.count == 201
 
 
+@pytest.mark.parametrize("make, arg", [(se.sts13, 1), (se.hermitian_unital, 3)])
+@pytest.mark.parametrize("min_size", [1, 5])
+def test_budget_boundary_is_exact(make, arg, min_size):
+    design = make(arg)
+    families = enumerate_maximal_ekr(design, min_size=min_size)
+    count = len(families)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_maximal_ekr(design, min_size=min_size, max_count=count - 1)
+    assert exc.value.count == count
+    assert enumerate_maximal_ekr(design, min_size=min_size, max_count=count) == families
+
+
+@pytest.mark.parametrize("make, arg", [(se.sts13, 1), (se.hermitian_unital, 3)])
+def test_min_size_bounds(make, arg):
+    design = make(arg)
+    families = enumerate_maximal_ekr(design)
+    largest = max(len(f) for f in families)
+    assert [len(f) for f in enumerate_maximal_ekr(design, min_size=largest)] == [
+        len(f) for f in families if len(f) == largest
+    ]
+    assert enumerate_maximal_ekr(design, min_size=largest + 1) == []
+    assert enumerate_maximal_ekr(design, min_size=largest + 1, max_count=0) == []
+    for min_size in (0, -3):
+        assert enumerate_maximal_ekr(design, min_size=min_size) == families
+
+
 def _enumeration_peak(design, **kwargs):
     """tracemalloc peak of one enumerate_maximal_ekr call, and the family count."""
     tracemalloc.start()
@@ -233,6 +260,45 @@ def test_budget_keeps_memory_small():
     full, full_count = _enumeration_peak(d)
     assert count == full_count == 1540
     assert capped < full / 20
+
+
+def _relabelled(design, seed):
+    """design with its points permuted; Design sorts its blocks, so their indices move too."""
+    perm = list(range(design.v))
+    random.Random(seed).shuffle(perm)
+    return se.Design(design.v, design.k, [sorted(perm[p] for p in bl) for bl in design.blocks])
+
+
+# Every builtin design with at most 208 blocks except affine:q for q >= 7:
+# an affine plane has q^(q+1) maximal families, 5,764,801 at q = 7.
+ORACLE_DESIGNS = (
+    [(se.projective_plane, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [(se.affine_plane, q) for q in (2, 3, 4, 5)]
+    + [(se.pg3_line_design, q) for q in (2, 3)]
+    + [(se.hermitian_unital, q) for q in (2, 3, 4)]
+    + [(se.sts13, variant) for variant in (1, 2)]
+    + [(se.complete_graph, v) for v in range(3, 21)]
+)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize(
+    "make, arg", ORACLE_DESIGNS, ids=[f"{m.__name__}-{a}" for m, a in ORACLE_DESIGNS]
+)
+def test_enumeration_matches_networkx(make, arg, seed):
+    design = make(arg)
+    if seed is not None:
+        design = _relabelled(design, seed)
+    blocks = [set(bl) for bl in design.blocks]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(design.b))
+    graph.add_edges_from(
+        (i, j) for i, j in itertools.combinations(range(design.b), 2) if blocks[i] & blocks[j]
+    )
+    cliques = sorted(tuple(sorted(c)) for c in nx.find_cliques(graph))
+    for min_size in (1, design.k + 1, design.r):
+        got = [f.indices() for f in enumerate_maximal_ekr(design, min_size=min_size)]
+        assert got == [c for c in cliques if len(c) >= min_size]
 
 
 def test_max_ekr_size_returns_witness():
@@ -294,11 +360,7 @@ def _first_onan_by_brute_force(design):
 def test_find_onan_is_the_first_quadruple(make, arg, seed):
     # relabelled points reorder the blocks, so the first configuration moves
     design = make(arg)
-    perm = list(range(design.v))
-    random.Random(seed).shuffle(perm)
-    blocks = [sorted(perm[p] for p in bl) for bl in design.blocks]
-    relabelled = se.Design(design.v, design.k, blocks)
-    for d in (design, relabelled):
+    for d in (design, _relabelled(design, seed)):
         assert find_onan(d) == _first_onan_by_brute_force(d)
 
 

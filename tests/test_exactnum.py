@@ -10,6 +10,7 @@ field norm, are also held to the root-factoring form they replaced.
 
 import math
 import random
+import time
 from fractions import Fraction as F
 from math import isqrt
 
@@ -204,6 +205,15 @@ def test_floor_from_sign_gallops_from_any_guess(x, guess):
     assert _floor_from_sign(sign_at, guess) == math.floor(x)
     # galloping out and bisecting back each take about log2 |error| steps
     assert len(tests) <= 2 * abs(math.floor(x) - guess).bit_length() + 3
+
+
+@pytest.mark.parametrize("sign", [GREATER, EQUAL, LESS])
+@pytest.mark.parametrize("guess", [0, -7, 10**45, -(10**400)])
+def test_floor_from_sign_rejects_an_oracle_that_never_changes_sign(sign, guess):
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=str(guess)):
+        _floor_from_sign(lambda m: sign, guess)
+    assert time.perf_counter() - start < 1
 
 
 @given(
