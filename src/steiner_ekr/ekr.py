@@ -7,8 +7,9 @@ Tomita pivoting from a root whose candidates are all blocks.  Every node
 branches in block index order and its pivot ties break toward the smaller
 index, which makes every stream deterministic; no degeneracy order is built,
 since the intersection graph of a 2-(v,k,1) design is regular.  A node whose
-excluded set holds a block meeting every candidate returns at once, and
-children with at most one candidate are settled in their parent's loop.
+excluded set holds a block meeting every candidate returns at once,
+children with at most one candidate are settled in their parent's loop, and
+a node's last child to search continues in the parent's frame.
 Families are kept as bit vectors and sorted by index tuple at the end.
 """
 
@@ -215,44 +216,55 @@ def _sort_by_indices(masks: list[int], b: int) -> None:
 
 
 def _bk_pivot(adj, size: int, mask: int, P: int, X: int, min_size: int, out: _Cliques):
-    """Extend the clique mask, of size blocks, by the candidates P (at least two) but not X."""
-    # pivot: the first vertex of P | X covering the most of P.  A vertex of P
-    # covers at most |P| - 1, so one covering all of P lies in X and makes
-    # every clique below extendable.
-    need = P.bit_count()
-    cand = P | X
-    pivot, best = -1, -1
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        u = bit.bit_length() - 1
-        c = (P & adj[u]).bit_count()
-        if c > best:
-            if c == need:
-                return
-            pivot, best = u, c
-            if c == need - 1:
-                break
-    size += 1
-    ext = P & ~adj[pivot]
-    while ext:
-        bit = ext & -ext
-        ext ^= bit
-        av = adj[bit.bit_length() - 1]
-        Pv = P & av
-        Xv = X & av
-        # a child with no candidate or one is settled here, not by a call
-        if size + Pv.bit_count() >= min_size:
-            if not Pv:
-                if not Xv:
-                    out.add(mask | bit)
-            elif not Pv & (Pv - 1):
-                if not Xv & adj[Pv.bit_length() - 1]:
-                    out.add(mask | bit | Pv)
-            else:
-                _bk_pivot(adj, size, mask | bit, Pv, Xv, min_size, out)
-        P ^= bit
-        X |= bit
+    """Extend the clique mask, of size blocks, by the candidates P (at least two) but not X.
+
+    The last child of a node that needs a search continues in this frame, so
+    a chain of nodes with one such child each, as in a family of all blocks,
+    takes no recursion depth.
+    """
+    while True:
+        # pivot: the first vertex of P | X covering the most of P.  A vertex of
+        # P covers at most |P| - 1, so one covering all of P lies in X and
+        # makes every clique below extendable.
+        need = P.bit_count()
+        cand = P | X
+        pivot, best = -1, -1
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            u = bit.bit_length() - 1
+            c = (P & adj[u]).bit_count()
+            if c > best:
+                if c == need:
+                    return
+                pivot, best = u, c
+                if c == need - 1:
+                    break
+        size += 1
+        ext = P & ~adj[pivot]
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            av = adj[bit.bit_length() - 1]
+            Pv = P & av
+            Xv = X & av
+            # a child with no candidate or one is settled here, not by a call
+            if size + Pv.bit_count() >= min_size:
+                if not Pv:
+                    if not Xv:
+                        out.add(mask | bit)
+                elif not Pv & (Pv - 1):
+                    if not Xv & adj[Pv.bit_length() - 1]:
+                        out.add(mask | bit | Pv)
+                elif ext:
+                    _bk_pivot(adj, size, mask | bit, Pv, Xv, min_size, out)
+                else:
+                    break  # the last child: searched below, in this frame
+            P ^= bit
+            X |= bit
+        else:
+            return
+        mask, P, X = mask | bit, Pv, Xv
 
 
 def enumerate_maximal_ekr(
@@ -333,7 +345,14 @@ def max_ekr_size(design: Design) -> BlockSet:
         return order
 
     def expand(R: list[int], P: int):
-        for v, c in reversed(color_sort(P)):
+        order = color_sort(P)
+        if order[-1][1] == len(order):
+            # every vertex has its own colour, so P is a clique and R + P the best below
+            if len(R) + len(order) > best[0]:
+                best[0] = len(R) + len(order)
+                best[1] = tuple(sorted(R + [v for v, _ in order]))
+            return
+        for v, c in reversed(order):
             if len(R) + c <= best[0]:
                 return
             R.append(v)
@@ -496,11 +515,6 @@ def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
             pencils += 1
         elif shape == "triangle":
             triangles += 1
-        elif design.r == design.k and len(fam) == design.b:
-            # every two blocks meet, so the single maximal family is all blocks
-            return OnanFreeVerdict(
-                True, pencils, triangles, note="all blocks form the single maximal family"
-            )
         else:
             return OnanFreeVerdict(False, pencils, triangles, counterexample=fam)
     return OnanFreeVerdict(True, pencils, triangles)

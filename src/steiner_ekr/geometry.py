@@ -1,10 +1,15 @@
-"""Small finite fields and projective / Hermitian point sets.
+"""Small finite fields, projective / Hermitian point sets and their secant lines.
 
 Fields GF(p^e) are capped at 2**16 elements and use a dense integer element
 encoding: the element with base-p digits (c0, c1, ...) is sum(ci * p**i), so
-0 and 1 are the additive and multiplicative identities.  Multiplication runs
-on discrete log tables built from a fixed generator search, which keeps every
+0 and 1 are the additive and multiplicative identities.  The default modulus
+of GF(p^e) is its least monic irreducible polynomial of degree e, with
+coefficients compared from the highest degree down.  Multiplication runs on
+discrete log tables built from a fixed generator search, which keeps every
 construction reproducible across runs and platforms.
+
+Lines of PG(d, q) and the blocks of a Hermitian unital are both secant lines
+of a point set, and both come from ``secant_lines``.
 """
 
 from __future__ import annotations
@@ -17,26 +22,6 @@ from math import isqrt
 from .errors import DomainError
 
 MAX_FIELD_ORDER = 1 << 16
-
-# Fixed moduli for the common small extensions (coefficients constant-first,
-# leading coefficient last).  Anything missing falls back to the
-# lexicographically least irreducible polynomial, which is equally
-# deterministic; every modulus is re-verified at construction either way.
-_MODULUS_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (5, 2): (2, 0, 1),
-    (7, 2): (1, 0, 1),
-    (11, 2): (1, 0, 1),
-    (13, 2): (2, 0, 1),
-}
 
 
 def is_prime(n: int) -> bool:
@@ -108,8 +93,9 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 
 def _min_irreducible(p: int, e: int) -> tuple[int, ...]:
+    """The least monic irreducible of degree e, comparing from the highest degree down."""
     for tail in product(range(p), repeat=e):
-        m = (*tail, 1)
+        m = (*reversed(tail), 1)
         if _is_irreducible(m, p):
             return m
     raise DomainError(f"no irreducible polynomial of degree {e} over GF({p})")
@@ -139,10 +125,8 @@ class FieldSpec:
 
     @classmethod
     def default(cls, p: int, e: int) -> "FieldSpec":
-        mod = _MODULUS_TABLE.get((p, e))
-        if mod is None:
-            mod = _min_irreducible(p, e)
-        return cls(p, e, mod)
+        """GF(p^e) modulo its least monic irreducible (see the module docstring)."""
+        return cls(p, e, _min_irreducible(p, e))
 
     @property
     def order(self) -> int:
@@ -336,27 +320,39 @@ def num_pg_lines(dim: int, q: int) -> int:
     return ((q ** (dim + 1) - 1) * (q**dim - 1)) // ((q * q - 1) * (q - 1))
 
 
+def secant_lines(fld: Field, pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every line through two or more of pts, as the sorted indices of pts on it.
+
+    pts are normalized points of one projective space over fld.  The pairs
+    already on a line are one bitmask per point, so each line is spanned once,
+    from its two least points; the lines therefore come out sorted.
+    """
+    index = {pt: i for i, pt in enumerate(pts)}
+    n = len(pts)
+    covered = [0] * n
+    lines = []
+    for i in range(n):
+        todo = ((1 << n) - 1) >> (i + 1) << (i + 1) & ~covered[i]
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            line = tuple(sorted({index[w] for w in line_points(fld, pts[i], pts[j]) if w in index}))
+            on = 0
+            for a in line:
+                on |= 1 << a
+            for a in line:
+                covered[a] |= on
+            todo &= ~on
+            lines.append(line)
+    return lines
+
+
 def pg_lines(dim: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Points and lines of PG(dim, q); lines are sorted tuples of point indices."""
     if dim < 2:
         raise DomainError("need dimension at least 2")
     fld = field_for_order(q)
     pts = pg_points(fld, dim)
-    index = {pt: i for i, pt in enumerate(pts)}
-    n = len(pts)
-    lines = []
-    covered: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in covered:
-                continue
-            members = sorted({index[w] for w in line_points(fld, pts[i], pts[j])})
-            line = tuple(members)
-            lines.append(line)
-            for a in range(len(line)):
-                for b in range(a + 1, len(line)):
-                    covered.add((line[a], line[b]))
-    lines.sort()
+    lines = secant_lines(fld, pts)
     if len(pts) != num_pg_points(dim, q) or len(lines) != num_pg_lines(dim, q):
         raise DomainError("projective space construction self-check failed")
     return pts, lines

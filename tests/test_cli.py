@@ -98,6 +98,12 @@ def test_enumerate_size_only(capsys):
     assert json.loads(out)["sizes"] == {"6": 13, "5": 24, "4": 164}
 
 
+def test_enumerate_size_only_plane_of_order_32(capsys):
+    code, out, err = run(capsys, "enumerate", "--design", "projective:32", "--size-only")
+    assert (code, err) == (0, "")
+    assert "size 1057: 1" in out.splitlines()[-1]
+
+
 def test_enumerate_min_size_csv(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--design", "sts13:1", "--min-size", "6", "--format", "csv"

@@ -1,5 +1,6 @@
 """Design construction, validation, serialization, and resolvability."""
 
+import hashlib
 import io
 import tracemalloc
 
@@ -78,7 +79,8 @@ def test_pair_repeated_is_reported():
     with pytest.raises(PairRepeated) as exc:
         Design(7, 3, blocks)
     assert exc.value.pair == (2, 6)
-    assert len(exc.value.blocks) == 2
+    # (2, 3, 6) and (2, 4, 6) sort to indices 5 and 6
+    assert exc.value.blocks == (5, 6)
 
 
 def test_pair_uncovered_is_reported():
@@ -216,3 +218,43 @@ def test_block_cap_boundary():
     assert se.complete_graph(63).b == 1953 <= MAX_BLOCKS
     with pytest.raises(DesignError, match="kgraph:64 would have 2016 blocks"):
         se.complete_graph(64)
+
+
+# First 16 hex digits of the sha256 of each design's save_design text,
+# recorded before the projective lines and the unital blocks shared one
+# secant-line builder.  The projective planes cover every non-prime field
+# that a builtin below MAX_BLOCKS reaches.
+BUILTIN_DIGESTS = {
+    "projective:4": "65c93d895905c1b7",
+    "projective:8": "7261f8f61e2e7833",
+    "projective:9": "37598d5e79bdf2a8",
+    "projective:16": "e077c816e1464a02",
+    "projective:25": "8a969a857e4db86c",
+    "projective:27": "42b69a449355bb0f",
+    "projective:32": "1552af9314ad4b28",
+    "pg3:2": "a0db1ad5debf96d3",
+    "pg3:3": "ac43ed368b2aae45",
+    "pg3:4": "a2d35d71a3e5747e",
+    "pg3:5": "3c999db1b43e61a2",
+    "unital:2": "818ce176af943e84",
+    "unital:3": "0f983f61f55a07bc",
+    "unital:4": "d09bab758bcc8a6c",
+    "unital:5": "187ffa4d0a128d58",
+    "sts13:1": "147b198bd6de0737",
+    "sts13:2": "29dbbd0bd92bea79",
+}
+
+_MAKERS = {
+    "projective": se.projective_plane,
+    "pg3": se.pg3_line_design,
+    "unital": se.hermitian_unital,
+    "sts13": se.sts13,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BUILTIN_DIGESTS))
+def test_builtin_block_lists_are_unchanged(spec):
+    kind, n = spec.split(":")
+    buf = io.StringIO()
+    save_design(_MAKERS[kind](int(n)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == BUILTIN_DIGESTS[spec]

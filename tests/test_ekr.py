@@ -313,6 +313,14 @@ def test_max_ekr_size_returns_witness():
         assert is_maximal(best)
 
 
+def test_plane_of_order_32_needs_no_deep_recursion():
+    # 1,057 pairwise intersecting lines: one family, deeper than the recursion limit
+    design = se.projective_plane(32)
+    families = enumerate_maximal_ekr(design)
+    assert [len(f) for f in families] == [design.b]
+    assert len(max_ekr_size(design)) == design.b
+
+
 def test_pencil_count_equals_point_count(suite):
     # with r > k no pencil can hide inside another family, so all v appear
     for name in ("sts13a", "unital3", "affine3"):
@@ -455,10 +463,12 @@ def test_classify_onan_free_unitals(suite):
         assert max(len(f) for f in families) == pencil_size
 
 
-def test_classify_onan_free_rejects_onan_designs(suite):
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_classify_onan_free_rejects_onan_designs(q):
+    # every projective plane has four lines with no three concurrent
     with pytest.raises(HasONan) as exc:
-        classify_onan_free(suite.design("fano"))
-    assert exc.value.blocks == (0, 1, 3, 6)
+        classify_onan_free(se.projective_plane(q))
+    assert exc.value.blocks == (0, 1, q + 1, 2 * q + 2)
 
 
 def test_classify_onan_free_rejects_sts13(suite):
@@ -490,3 +500,9 @@ def test_classify_onan_free_complete_graph():
     assert verdict.confirmed
     assert verdict.pencil_count == 7
     assert verdict.triangle_count == 35
+
+
+def test_classify_onan_free_triangle_of_k3():
+    # the three edges of K_3 are all blocks and form a triangle, not a pencil
+    verdict = classify_onan_free(se.complete_graph(3))
+    assert (verdict.confirmed, verdict.pencil_count, verdict.triangle_count) == (True, 0, 1)

@@ -5,6 +5,7 @@ import pytest
 from steiner_ekr.errors import DomainError
 from steiner_ekr.geometry import (
     MAX_FIELD_ORDER,
+    FieldSpec,
     field,
     field_for_order,
     hermitian_points,
@@ -15,6 +16,7 @@ from steiner_ekr.geometry import (
     pg_lines,
     pg_points,
     prime_power,
+    secant_lines,
 )
 
 
@@ -72,6 +74,37 @@ def test_field_axioms_by_enumeration():
                     assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
 
 
+# Moduli that GF(p^e) used before one rule chose them all, constant
+# coefficient first; each is the least monic irreducible compared from the
+# highest degree down.
+FORMER_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (5, 2): (2, 0, 1),
+    (7, 2): (1, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("pe", sorted(FORMER_MODULI))
+def test_default_modulus_keeps_the_former_table(pe):
+    assert FieldSpec.default(*pe).modulus == FORMER_MODULI[pe]
+
+
+def test_default_modulus_is_least_from_the_top():
+    # GF(81): x^4 + 2 and x^4 + 1 split, x^4 + x + 1 has the root 1
+    assert FieldSpec.default(3, 4).modulus == (2, 1, 0, 0, 1)
+    assert FieldSpec.default(5, 1).modulus == (0, 1)
+
+
 def test_field_edge_operations():
     f = field_for_order(9)
     assert f.pow(0, 0) == 1
@@ -112,6 +145,13 @@ def test_line_points_is_closed_under_span():
     assert pts[0] in ln and pts[1] in ln
     # any two points of the line span it again
     assert set(line_points(f, ln[2], ln[3])) == set(ln)
+
+
+def test_secant_lines_keep_lines_through_two_or_more_points():
+    f = field_for_order(3)
+    # three points of the line x0 = 0 and one point off it
+    pts = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+    assert secant_lines(f, pts) == [(0, 1, 2), (0, 3), (1, 3), (2, 3)]
 
 
 def test_hermitian_point_counts():
