@@ -28,7 +28,9 @@ cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
 
 Point-pencils and triangles, which the paper's dichotomy makes the common
 case, skip the search: the set system itself is recognised and its form is
-written down, the minimum the search would return.
+written down, the minimum the search would return.  The same two forms are
+``ekr``'s shape rule: a family is a point-pencil when its classes have the
+pencil form, and a triangle when they have the triangle form on k+1 members.
 
 - Pencil: one class holding all s positions.  Every permutation preserves
   it, so every leaf has the code (0, 1, ..., s-1).

@@ -57,8 +57,7 @@ def _parse_design(spec: str) -> Design:
 
 
 def _summary(design: Design, spec: str) -> dict:
-    p = design.params
-    return {"source": spec, "v": p.v, "k": p.k, "b": p.b, "r": p.r}
+    return {"source": spec, "v": design.v, "k": design.k, "b": design.b, "r": design.r}
 
 
 def _scalar(v) -> str:

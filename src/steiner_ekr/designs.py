@@ -8,10 +8,9 @@ construction: a ``Design`` instance that exists has passed the pair axiom.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .geometry import field_for_order, hermitian_points, pg_lines, prime_power, secant_lines
 
 
@@ -44,27 +43,6 @@ class ParseError(DesignError):
 
 class NotResolvable(DesignError):
     pass
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """Derived parameters of a 2-(v, k, 1) design.
-
-    deficit is (k-1)**2 - r, the distance of the replication number below the
-    value where pencils stop dominating the counting bound.
-    """
-
-    v: int
-    k: int
-    b: int
-    r: int
-    deficit: int
-
-    @classmethod
-    def from_vk(cls, v: int, k: int) -> "DesignParams":
-        r = (v - 1) // (k - 1)
-        b = v * (v - 1) // (k * (k - 1))
-        return cls(v=v, k=k, b=b, r=r, deficit=(k - 1) ** 2 - r)
 
 
 class Design:
@@ -114,10 +92,6 @@ class Design:
     @property
     def r(self) -> int:
         return (self.v - 1) // (self.k - 1)
-
-    @property
-    def params(self) -> DesignParams:
-        return DesignParams.from_vk(self.v, self.k)
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -329,11 +303,18 @@ def load_design(path, name: str | None = None) -> Design:
 
 # -- resolutions -----------------------------------------------------------
 
+# Most steps (calls of its class search) parallel_classes takes before it
+# raises BudgetExceeded, about 2 s on a 2-core x86 host.  The resolvable
+# builtins need a few thousand at most (pg3:3 takes 2,449); unital:4 ran past
+# 30 s without an answer before this bound.
+MAX_RESOLUTION_STEPS = 10**6
+
 
 def parallel_classes(design: Design) -> list[tuple[int, ...]]:
     """Partition the blocks into classes of disjoint blocks covering all points.
 
-    Exhaustive backtracking; raises NotResolvable when no resolution exists.
+    Exhaustive backtracking; raises NotResolvable when no resolution exists
+    and BudgetExceeded when the search passes MAX_RESOLUTION_STEPS steps.
     Intended for desk-scale designs.
     """
     v, k = design.v, design.k
@@ -345,8 +326,15 @@ def parallel_classes(design: Design) -> list[tuple[int, ...]]:
     full = (1 << v) - 1
     used = bytearray(nblocks)
     classes: list[tuple[int, ...]] = []
+    steps = 0
 
     def completions(cover: int, members: list[int]):
+        nonlocal steps
+        steps += 1
+        if steps > MAX_RESOLUTION_STEPS:
+            raise BudgetExceeded(
+                f"no resolution found in {MAX_RESOLUTION_STEPS} search steps", count=steps
+            )
         if cover == full:
             yield tuple(members)
             return

@@ -19,7 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .canon import canonical_code
+from .canon import _closed_form, canonical_code, concurrency_classes
 from .designs import Design
 from .errors import BudgetExceeded, DomainError
 
@@ -119,27 +119,28 @@ def intersection_adjacency(design: Design) -> tuple[int, ...]:
     return design.intersection_adjacency
 
 
-def is_intersecting(family: BlockSet) -> bool:
+def _meeting_all(family: BlockSet) -> int:
+    """Bitmask of the blocks that are members or meet every member."""
     adj = intersection_adjacency(family.design)
-    mask = family.mask
-    for i in family.indices():
-        if mask & ~adj[i] & ~(1 << i):
-            return False
-    return True
+    out = (1 << family.design.b) - 1
+    m = family.mask
+    while m:
+        bit = m & -m
+        m ^= bit
+        out &= adj[bit.bit_length() - 1] | bit
+    return out
+
+
+def is_intersecting(family: BlockSet) -> bool:
+    return family.mask & ~_meeting_all(family) == 0
 
 
 def is_maximal(family: BlockSet) -> bool:
     """True when no further block meets every member.  Empty families are not maximal."""
-    if not is_intersecting(family):
+    meeting = _meeting_all(family)
+    if family.mask & ~meeting:
         raise NotIntersecting("family contains two disjoint blocks")
-    adj = intersection_adjacency(family.design)
-    mask = family.mask
-    for c in range(family.design.b):
-        if (mask >> c) & 1:
-            continue
-        if adj[c] & mask == mask:
-            return False
-    return family.design.b == 0 or mask != 0
+    return meeting == family.mask
 
 
 def point_pencil(design: Design, point: int) -> BlockSet:
@@ -165,17 +166,13 @@ def triangle(design: Design, point: int, block: int) -> BlockSet:
 
 def cover_profile(family: BlockSet) -> CoverProfile:
     design = family.design
-    mult: dict[int, int] = {}
-    for bi in family.indices():
-        for p in design.blocks[bi]:
-            mult[p] = mult.get(p, 0) + 1
-    if not mult:
-        return CoverProfile(0, (0,), 0, -design.k * (design.k - 1))
-    k_s = max(mult.values())
+    mults = [(pencil & family.mask).bit_count() for pencil in design.pencil_masks]
+    k_s = max(mults)
     hist = [0] * (k_s + 1)
-    for m in mult.values():
+    for m in mults:
         hist[m] += 1
-    covered = len(mult)
+    covered = design.v - hist[0]
+    hist[0] = 0
     return CoverProfile(covered, tuple(hist), k_s, covered - design.k * (design.k - 1))
 
 
@@ -415,18 +412,26 @@ def has_onan(design: Design) -> bool:
 # -- classification ---------------------------------------------------------
 
 
-def _shape(design: Design, size: int, profile: CoverProfile) -> str | None:
-    """The family's shape: "point-pencil", "triangle", or None for neither."""
-    if profile.k_s == size:
+def _shape(family: BlockSet) -> str | None:
+    """The family's shape: "point-pencil", "triangle", or None for neither.
+
+    The shapes are canon's closed forms of the concurrency classes: a pencil
+    is one class holding every member, a triangle the triangle form on k+1
+    members.  A family of fewer than two members has no shape.
+    """
+    s, subs = concurrency_classes(family)
+    form = _closed_form(s, subs) if s >= 2 else None
+    if form is None:
+        return None
+    if len(form) == 1:
         return "point-pencil"
-    if size == design.k + 1 and profile.k_s == design.k:
-        return "triangle"
-    return None
+    return "triangle" if s == family.design.k + 1 else None
 
 
-def _label(design: Design, size: int, profile: CoverProfile, code: str) -> str:
-    shape = _shape(design, size, profile)
-    if design.k == 3 and shape != "point-pencil":
+def _label(family: BlockSet, code: str) -> str:
+    shape = _shape(family)
+    size = len(family)
+    if family.design.k == 3 and shape != "point-pencil":
         return f"EKR_{size}"
     if shape:
         return shape
@@ -434,15 +439,14 @@ def _label(design: Design, size: int, profile: CoverProfile, code: str) -> str:
     return f"type-s{size}-{digest}"
 
 
-def _group(design: Design, families) -> list[list]:
+def _group(families) -> list[list]:
     """[type, count, first family] per isomorphism type, by (-size, code)."""
     groups: dict[str, list] = {}
     for fam in families:
         code = canonical_code(fam)
         entry = groups.get(code)
         if entry is None:
-            profile = cover_profile(fam)
-            etype = EkrType(_label(design, len(fam), profile, code), len(fam), profile, code)
+            etype = EkrType(_label(fam, code), len(fam), cover_profile(fam), code)
             entry = groups[code] = [etype, 0, fam]
         entry[1] += 1
     return sorted(groups.values(), key=lambda e: (-e[0].size, e[0].code))
@@ -450,13 +454,13 @@ def _group(design: Design, families) -> list[list]:
 
 def classify(design: Design, families) -> list[tuple[EkrType, int]]:
     """Group families by the isomorphism type of their induced structures."""
-    return [(etype, count) for etype, count, _ in _group(design, families)]
+    return [(etype, count) for etype, count, _ in _group(families)]
 
 
 def classification_report(design: Design, families, source: str | None = None) -> dict:
     """JSON-ready classification summary with one witness family per type."""
     types = []
-    for etype, count, witness in _group(design, families):
+    for etype, count, witness in _group(families):
         hist = etype.profile.k_hist
         types.append(
             {
@@ -470,14 +474,13 @@ def classification_report(design: Design, families, source: str | None = None) -
                 "witness": list(witness.indices()),
             }
         )
-    params = design.params
     return {
         "design": {
             "source": source or design.name or "",
-            "v": params.v,
-            "k": params.k,
-            "b": params.b,
-            "r": params.r,
+            "v": design.v,
+            "k": design.k,
+            "b": design.b,
+            "r": design.r,
         },
         "family_count": sum(t["count"] for t in types),
         "types": types,
@@ -498,9 +501,10 @@ class OnanFreeVerdict:
 def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
     """For O'Nan-free designs, verify the pencil-or-triangle dichotomy.
 
-    Raises HasONan when the design contains an O'Nan configuration; in that
-    case the dichotomy is not promised and the caller should inspect the
-    configuration instead.
+    The first family that is neither shape, a non-intersecting one included,
+    is returned as the counterexample.  Raises HasONan when the design
+    contains an O'Nan configuration; in that case the dichotomy is not
+    promised and the caller should inspect the configuration instead.
     """
     witness = find_onan(design)
     if witness is not None:
@@ -510,7 +514,7 @@ def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
     pencils = 0
     triangles = 0
     for fam in families:
-        shape = _shape(design, len(fam), cover_profile(fam))
+        shape = _shape(fam)
         if shape == "point-pencil":
             pencils += 1
         elif shape == "triangle":

@@ -2,11 +2,12 @@
 
 Fields GF(p^e) are capped at 2**16 elements and use a dense integer element
 encoding: the element with base-p digits (c0, c1, ...) is sum(ci * p**i), so
-0 and 1 are the additive and multiplicative identities.  The default modulus
-of GF(p^e) is its least monic irreducible polynomial of degree e, with
-coefficients compared from the highest degree down.  Multiplication runs on
-discrete log tables built from a fixed generator search, which keeps every
-construction reproducible across runs and platforms.
+0 and 1 are the additive and multiplicative identities.  ``Field(p, e)`` takes
+as its modulus the least monic irreducible polynomial of degree e, with
+coefficients compared from the highest degree down; ``field(p, e)`` is its
+cached constructor.  Multiplication runs on discrete log tables built from a
+fixed generator search, which keeps every construction reproducible across
+runs and platforms.
 
 Lines of PG(d, q) and the blocks of a Hermitian unital are both secant lines
 of a point set, and both come from ``secant_lines``.
@@ -14,7 +15,6 @@ of a point set, and both come from ``secant_lines``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
@@ -78,13 +78,8 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
 
 
 def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg < 1 or m[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
+    """Trial division of the monic m by every monic polynomial of degree <= deg(m)/2."""
+    for d in range(1, (len(m) - 1) // 2 + 1):
         for tail in product(range(p), repeat=d):
             g = (*tail, 1)
             if not _poly_mod(m, g, p):
@@ -101,46 +96,20 @@ def _min_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise DomainError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Characteristic, extension degree and modulus of a field GF(p^e)."""
-
-    p: int
-    e: int
-    modulus: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
-        if self.e < 1:
-            raise DomainError("extension degree must be positive")
-        if self.p**self.e > MAX_FIELD_ORDER:
-            raise DomainError(f"field order {self.p}**{self.e} exceeds {MAX_FIELD_ORDER}")
-        m = tuple(int(c) % self.p for c in self.modulus)
-        if len(m) != self.e + 1 or m[-1] != 1:
-            raise DomainError("modulus must be monic of degree e")
-        object.__setattr__(self, "modulus", m)
-        if not _is_irreducible(m, self.p):
-            raise DomainError(f"modulus {m} is reducible over GF({self.p})")
-
-    @classmethod
-    def default(cls, p: int, e: int) -> "FieldSpec":
-        """GF(p^e) modulo its least monic irreducible (see the module docstring)."""
-        return cls(p, e, _min_irreducible(p, e))
-
-    @property
-    def order(self) -> int:
-        return self.p**self.e
-
-
 class Field:
     """Arithmetic table for GF(p^e) on elements encoded as 0 .. p^e - 1."""
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.order = spec.order
+    def __init__(self, p: int, e: int = 1):
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        if e < 1:
+            raise DomainError("extension degree must be positive")
+        if e >= MAX_FIELD_ORDER.bit_length() or p**e > MAX_FIELD_ORDER:
+            raise DomainError(f"field order {p}**{e} exceeds {MAX_FIELD_ORDER}")
+        self.p = p
+        self.e = e
+        self.order = p**e
+        self.modulus = _min_irreducible(p, e)
         self._build_tables()
 
     # -- encoding -----------------------------------------------------
@@ -168,7 +137,7 @@ class Field:
             if a:
                 for j, b in enumerate(dy):
                     prod[i + j] = (prod[i + j] + a * b) % self.p
-        rem = _poly_mod(tuple(prod), self.spec.modulus, self.p)
+        rem = _poly_mod(tuple(prod), self.modulus, self.p)
         return self._encode(rem + (0,) * (self.e - len(rem)))
 
     def _pow_raw(self, x: int, k: int) -> int:
@@ -193,17 +162,9 @@ class Field:
             f += 1
         if n > 1:
             factors.add(n)
-        gen = None
-        for g in range(2, q):
-            if all(self._pow_raw(g, (q - 1) // ell) != 1 for ell in factors):
-                gen = g
-                break
-        if gen is None:
-            if q == 2:
-                gen = 1
-            else:
-                raise DomainError("no generator found (broken modulus?)")
-        self.generator = gen
+        # the modulus is irreducible, so a generator exists; GF(2)'s is 1
+        gens = (g for g in range(2, q) if all(self._pow_raw(g, (q - 1) // ell) != 1 for ell in factors))
+        gen = self.generator = next(gens, 1)
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = self._mul_raw(exp[i - 1], gen)
@@ -269,7 +230,7 @@ class Field:
 
 @lru_cache(maxsize=None)
 def field(p: int, e: int = 1) -> Field:
-    return Field(FieldSpec.default(p, e))
+    return Field(p, e)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import time
 import tracemalloc
 
 import pytest
@@ -9,9 +10,9 @@ import pytest
 import steiner_ekr as se
 from steiner_ekr.designs import (
     MAX_BLOCKS,
+    MAX_RESOLUTION_STEPS,
     Design,
     DesignError,
-    DesignParams,
     NotResolvable,
     PairRepeated,
     PairUncovered,
@@ -25,14 +26,6 @@ from steiner_ekr.designs import (
 FANO_BLOCKS = [
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5),
 ]
-
-
-def test_params_from_vk():
-    p = DesignParams.from_vk(13, 3)
-    assert (p.v, p.k, p.b, p.r) == (13, 3, 26, 6)
-    assert p.deficit == -2  # (k-1)^2 - r
-    p = DesignParams.from_vk(28, 4)
-    assert (p.b, p.r, p.deficit) == (63, 9, 0)
 
 
 @pytest.mark.parametrize(
@@ -55,7 +48,6 @@ def test_params_from_vk():
 def test_constructor_parameters(design, v, k, b, r):
     # construction already ran the pair-axiom check; only parameters remain
     assert (design.v, design.k, design.b, design.r) == (v, k, b, r)
-    assert design.params.deficit == (k - 1) ** 2 - r
 
 
 def test_sts13_variants_differ():
@@ -185,6 +177,16 @@ def test_parallel_classes_one_factorization():
 def test_not_resolvable():
     with pytest.raises(NotResolvable):
         parallel_classes(se.projective_plane(2))  # 3 does not divide 7
+
+
+def test_parallel_classes_search_is_budgeted():
+    # the search on unital:4 finds no resolution in any time we would wait
+    d = se.hermitian_unital(4)
+    start = time.perf_counter()
+    with pytest.raises(se.BudgetExceeded) as exc:
+        parallel_classes(d)
+    assert time.perf_counter() - start < 10
+    assert exc.value.count == MAX_RESOLUTION_STEPS + 1
 
 
 # -- size guard --------------------------------------------------------------

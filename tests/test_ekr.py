@@ -5,14 +5,18 @@ against a brute-force maximal-clique scan on every design small enough to
 admit one; the larger designs are pinned so any behavioural drift surfaces.
 """
 
+import collections
 import gc
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 import weakref
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import steiner_ekr as se
 from steiner_ekr.ekr import (
@@ -146,6 +150,11 @@ def test_cover_profile_all_fano_blocks():
     assert prof.k_s == 3
     assert prof.k_hist == (0, 0, 0, 7)
     assert prof.cover_excess == 1
+
+
+def test_cover_profile_of_the_empty_family():
+    d = se.hermitian_unital(3)
+    assert cover_profile(BlockSet(d)) == se.CoverProfile(0, (0,), 0, -12)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -299,6 +308,48 @@ def test_enumeration_matches_networkx(make, arg, seed):
     for min_size in (1, design.k + 1, design.r):
         got = [f.indices() for f in enumerate_maximal_ekr(design, min_size=min_size)]
         assert got == [c for c in cliques if len(c) >= min_size]
+
+
+# Designs whose random sub-families the predicates are checked on, each also relabelled.
+PREDICATE_DESIGNS = [se.complete_graph(6), se.sts13(1), se.affine_plane(4), se.hermitian_unital(3)]
+PREDICATE_DESIGNS += [_relabelled(d, seed) for seed, d in enumerate(PREDICATE_DESIGNS)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_family_predicates_match_oracles(data):
+    design = data.draw(st.sampled_from(PREDICATE_DESIGNS))
+    order = data.draw(st.permutations(range(design.b)))
+    blocks = [set(bl) for bl in design.blocks]
+    if data.draw(st.booleans()):
+        # a prefix of a greedy maximal family: intersecting, maximal when whole
+        pool = []
+        for j in order:
+            if all(blocks[j] & blocks[i] for i in pool):
+                pool.append(j)
+    else:
+        pool = order
+    members = pool[: data.draw(st.integers(0, len(pool)))]
+    fam = BlockSet(design, members)
+
+    mult = collections.Counter(p for i in members for p in blocks[i])
+    k_s = max(mult.values(), default=0)
+    hist = [0] * (k_s + 1)
+    for m in mult.values():
+        hist[m] += 1
+    k = design.k
+    assert cover_profile(fam) == se.CoverProfile(len(mult), tuple(hist), k_s, len(mult) - k * (k - 1))
+
+    intersecting = all(blocks[i] & blocks[j] for i, j in itertools.combinations(members, 2))
+    assert is_intersecting(fam) == intersecting
+    if not intersecting:
+        with pytest.raises(NotIntersecting):
+            is_maximal(fam)
+    else:
+        extendable = any(
+            j not in members and all(blocks[j] & blocks[i] for i in members) for j in range(design.b)
+        )
+        assert is_maximal(fam) == (not extendable)
 
 
 def test_max_ekr_size_returns_witness():
@@ -506,3 +557,70 @@ def test_classify_onan_free_triangle_of_k3():
     # the three edges of K_3 are all blocks and form a triangle, not a pencil
     verdict = classify_onan_free(se.complete_graph(3))
     assert (verdict.confirmed, verdict.pencil_count, verdict.triangle_count) == (True, 0, 1)
+
+
+def test_non_intersecting_family_is_not_a_triangle(suite):
+    # four blocks through point 0 and a block that misses one of them: k+1
+    # members with k on a point, but two members are disjoint
+    design = suite.design("unital3")
+    adj = intersection_adjacency(design)
+    other = next(i for i, bl in enumerate(design.blocks) if 0 not in bl)
+    met = [j for j in design.incidence[0] if (adj[other] >> j) & 1]
+    missed = next(j for j in design.incidence[0] if not (adj[other] >> j) & 1)
+    fam = BlockSet(design, met[:3] + [missed, other])
+    assert len(fam) == design.k + 1 and cover_profile(fam).k_s == design.k
+    assert not is_intersecting(fam)
+    [(etype, _)] = classify(design, [fam])
+    assert etype.label.startswith("type-s5-")
+    verdict = classify_onan_free(design, [fam])
+    assert (verdict.confirmed, verdict.pencil_count, verdict.triangle_count) == (False, 0, 0)
+    assert verdict.counterexample == fam
+
+
+@pytest.mark.parametrize("members", [(), (0,)])
+def test_families_below_two_members_have_no_shape(suite, members):
+    design = suite.design("unital3")
+    fam = BlockSet(design, members)
+    [(etype, _)] = classify(design, [fam])
+    assert etype.label.startswith(f"type-s{len(members)}-")
+    verdict = classify_onan_free(design, [fam])
+    assert not verdict.confirmed
+    assert verdict.counterexample == fam
+
+
+# Every builtin design the classification digest covers.
+DIGEST_CORPUS = (
+    [(se.complete_graph, n) for n in range(3, 11)]
+    + [(se.sts13, 1), (se.sts13, 2)]
+    + [(se.projective_plane, q) for q in (2, 3, 4, 5)]
+    + [(se.affine_plane, 3), (se.affine_plane, 4), (se.pg3_line_design, 2)]
+    + [(se.hermitian_unital, q) for q in (2, 3, 4)]
+)
+
+
+def _classification_digest() -> str:
+    """sha256 of the classify rows and classify_onan_free verdicts of DIGEST_CORPUS."""
+    record = []
+    for make, arg in DIGEST_CORPUS:
+        design = make(arg)
+        families = enumerate_maximal_ekr(design)
+        rows = [
+            [t.label, t.size, count, t.profile.covered, list(t.profile.k_hist), t.profile.k_s, t.code]
+            for t, count in classify(design, families)
+        ]
+        try:
+            v = classify_onan_free(design, families)
+            witness = None if v.counterexample is None else v.counterexample.indices()
+            verdict = [v.confirmed, v.pencil_count, v.triangle_count, witness]
+        except HasONan as exc:
+            verdict = ["onan", exc.blocks]
+        record.append([design.name, len(families), rows, verdict])
+    return hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest()
+
+
+# Recorded with the profile-based shape rule that canon's closed forms replaced.
+CLASSIFICATION_DIGEST = "1bc7ec748cae924b72072ee576825d9269cea1b495c963d732be7cc9ce6ebb0f"
+
+
+def test_classification_digest():
+    assert _classification_digest() == CLASSIFICATION_DIGEST

@@ -5,7 +5,6 @@ import pytest
 from steiner_ekr.errors import DomainError
 from steiner_ekr.geometry import (
     MAX_FIELD_ORDER,
-    FieldSpec,
     field,
     field_for_order,
     hermitian_points,
@@ -39,6 +38,9 @@ def test_prime_power_decomposition():
 def test_field_order_cap():
     with pytest.raises(DomainError):
         field_for_order(MAX_FIELD_ORDER * 2)
+    # refused from the degree alone, before p**e is worked out
+    with pytest.raises(DomainError):
+        field(2, 10**12)
 
 
 def test_gf2_tables():
@@ -96,13 +98,13 @@ FORMER_MODULI = {
 
 @pytest.mark.parametrize("pe", sorted(FORMER_MODULI))
 def test_default_modulus_keeps_the_former_table(pe):
-    assert FieldSpec.default(*pe).modulus == FORMER_MODULI[pe]
+    assert field(*pe).modulus == FORMER_MODULI[pe]
 
 
 def test_default_modulus_is_least_from_the_top():
     # GF(81): x^4 + 2 and x^4 + 1 split, x^4 + x + 1 has the root 1
-    assert FieldSpec.default(3, 4).modulus == (2, 1, 0, 0, 1)
-    assert FieldSpec.default(5, 1).modulus == (0, 1)
+    assert field(3, 4).modulus == (2, 1, 0, 0, 1)
+    assert field(5, 1).modulus == (0, 1)
 
 
 def test_field_edge_operations():
