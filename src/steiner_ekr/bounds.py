@@ -280,14 +280,16 @@ def certify_moment_inequality(
     if s1 < 0 or s2 < 0:
         return SweepCertificate("moments", ranges, 0)
 
+    # n_i is 0 wherever i(i-1) > s2, so only the first `width` counts can move
+    width = min(l, max(2, (math.isqrt(4 * s2 + 1) + 1) // 2))
     failures: list[tuple] = []
     cases = 0
-    for ns, lhs in _count_vectors(l, s1, s2):
+    for ns, lhs in _count_vectors(width, s1, s2):
         cases += 1
         if cases > budget:
             raise BudgetExceeded(f"moment search passed {budget} cases", count=cases)
         if lhs > rhs:
-            failures.append(tuple(ns[1:]))
+            failures.append(tuple(ns[1:]) + (0,) * (l - width))
     return SweepCertificate("moments", ranges, cases, tuple(failures))
 
 
@@ -468,7 +470,7 @@ def deficit_interval(k: int, c: int) -> tuple[SurdExpr, SurdExpr]:
     if c < 0:
         raise DomainError("window index must be nonnegative")
     if c == 0:
-        return SurdExpr.rational(0), SurdExpr.sqrt(k - 1)
+        return SurdExpr.rational(0), SurdExpr(0, 1, k - 1)
     lo = SurdExpr(Fraction(1 - c, 2), Fraction(1, 2), (c - 1) ** 2 + 4 * c * (k - 1))
     hi = SurdExpr(Fraction(-c, 2), Fraction(1, 2), c * c + 4 * (c + 1) * (k - 1))
     return lo, hi

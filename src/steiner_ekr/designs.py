@@ -1,4 +1,4 @@
-"""2-(v, k, 1) designs: validation, constructors, file io, parallel classes.
+"""2-(v, k, 1) designs: validation, constructors, file io.
 
 A design here is a point set 0 .. v-1 together with b blocks of k points such
 that every pair of points lies in exactly one block.  Validation is part of
@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
 from .geometry import field_for_order, hermitian_points, pg_lines, prime_power, secant_lines
 
 
@@ -39,10 +39,6 @@ class ParseError(DesignError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class NotResolvable(DesignError):
-    pass
 
 
 class Design:
@@ -300,72 +296,3 @@ def load_design(path, name: str | None = None) -> Design:
         raise ParseError(0, f"expected b={expected} blocks, found {len(blocks)}")
     return Design(header[0], header[1], blocks, name=name)
 
-
-# -- resolutions -----------------------------------------------------------
-
-# Most steps (calls of its class search) parallel_classes takes before it
-# raises BudgetExceeded, about 2 s on a 2-core x86 host.  The resolvable
-# builtins need a few thousand at most (pg3:3 takes 2,449); unital:4 ran past
-# 30 s without an answer before this bound.
-MAX_RESOLUTION_STEPS = 10**6
-
-
-def parallel_classes(design: Design) -> list[tuple[int, ...]]:
-    """Partition the blocks into classes of disjoint blocks covering all points.
-
-    Exhaustive backtracking; raises NotResolvable when no resolution exists
-    and BudgetExceeded when the search passes MAX_RESOLUTION_STEPS steps.
-    Intended for desk-scale designs.
-    """
-    v, k = design.v, design.k
-    if v % k:
-        raise NotResolvable(f"k={k} does not divide v={v}")
-    masks = design.block_masks
-    incidence = design.incidence
-    nblocks = design.b
-    full = (1 << v) - 1
-    used = bytearray(nblocks)
-    classes: list[tuple[int, ...]] = []
-    steps = 0
-
-    def completions(cover: int, members: list[int]):
-        nonlocal steps
-        steps += 1
-        if steps > MAX_RESOLUTION_STEPS:
-            raise BudgetExceeded(
-                f"no resolution found in {MAX_RESOLUTION_STEPS} search steps", count=steps
-            )
-        if cover == full:
-            yield tuple(members)
-            return
-        p = (~cover & full)
-        p = (p & -p).bit_length() - 1
-        for j in incidence[p]:
-            if used[j] or (masks[j] & cover):
-                continue
-            used[j] = 1
-            members.append(j)
-            yield from completions(cover | masks[j], members)
-            members.pop()
-            used[j] = 0
-
-    def solve() -> bool:
-        anchor = None
-        for i in range(nblocks):
-            if not used[i]:
-                anchor = i
-                break
-        if anchor is None:
-            return True
-        used[anchor] = 1
-        for cls in completions(masks[anchor], [anchor]):
-            classes.append(cls)
-            if solve():
-                return True
-            classes.pop()
-        used[anchor] = 0
-        return False
-
-    if not solve():
-        raise NotResolvable("no partition into parallel classes exists")
-    return classes

@@ -114,14 +114,9 @@ class EkrType:
     code: str
 
 
-def intersection_adjacency(design: Design) -> tuple[int, ...]:
-    """Per block, the bitmask of other blocks sharing a point with it."""
-    return design.intersection_adjacency
-
-
 def _meeting_all(family: BlockSet) -> int:
     """Bitmask of the blocks that are members or meet every member."""
-    adj = intersection_adjacency(family.design)
+    adj = family.design.intersection_adjacency
     out = (1 << family.design.b) - 1
     m = family.mask
     while m:
@@ -158,7 +153,7 @@ def triangle(design: Design, point: int, block: int) -> BlockSet:
         raise DomainError(f"block index {block} outside 0..{design.b - 1}")
     if point in design.blocks[block]:
         raise PointOnBlock(f"point {point} lies on block {block}")
-    adj = intersection_adjacency(design)
+    adj = design.intersection_adjacency
     members = [block]
     members.extend(j for j in design.incidence[point] if (adj[block] >> j) & 1)
     return BlockSet(design, members)
@@ -290,7 +285,7 @@ def enumerate_maximal_ekr(
     if min_size < 1:
         min_size = 1
     cap = math.inf if max_count is None else max_count
-    adj = intersection_adjacency(design)
+    adj = design.intersection_adjacency
     out = _Cliques(cap)
     _bk_pivot(adj, 0, 0, (1 << design.b) - 1, 0, min_size, out)
     if out.count > cap:
@@ -322,7 +317,7 @@ def max_ekr_size(design: Design) -> BlockSet:
     Seeded with a point pencil (always a clique of the intersection graph), so
     the search only has to certify optimality or beat r.
     """
-    adj = intersection_adjacency(design)
+    adj = design.intersection_adjacency
     seed = tuple(design.incidence[0])
     best: list = [len(seed), seed]
 
@@ -378,7 +373,7 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
     the candidates for d are one mask.  The scan fixes the least block first,
     so the first configuration in lexicographic order is returned.
     """
-    adj = intersection_adjacency(design)
+    adj = design.intersection_adjacency
     masks = design.block_masks
     pencil = design.pencil_masks
     n = design.b
@@ -403,10 +398,6 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
                 if md:
                     return (a, b, c, (md & -md).bit_length() - 1)
     return None
-
-
-def has_onan(design: Design) -> bool:
-    return find_onan(design) is not None
 
 
 # -- classification ---------------------------------------------------------

@@ -85,13 +85,6 @@ class SurdExpr:
     def rational(cls, x) -> "SurdExpr":
         return cls(_frac(x), Fraction(0), 0)
 
-    @classmethod
-    def sqrt(cls, n: int, coef=1, shift=0) -> "SurdExpr":
-        return cls(_frac(shift), _frac(coef), n)
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * self.n**0.5
-
 
 def _scaled(*xs) -> list[int]:
     """The rationals xs times the lcm of their denominators: integers, same signs and ratios."""

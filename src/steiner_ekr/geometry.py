@@ -187,20 +187,6 @@ class Field:
             mult *= p
         return out
 
-    def neg(self, x: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (-x) % p
-        out, mult = 0, 1
-        for _ in range(self.e):
-            out += ((-x) % p) * mult
-            x //= p
-            mult *= p
-        return out
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0

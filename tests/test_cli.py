@@ -320,6 +320,34 @@ def test_sweep_moments_long_vector(capsys):
     assert "certified: true" in out
 
 
+def test_sweep_moments_memory_does_not_grow_with_l():
+    # n_i = 0 wherever i(i-1) > sum_ii, so l = 10^9 with sum_ii = 0 needs only
+    # the first two counts; an address-space cap turns a list of l counts into
+    # a MemoryError instead of 8 GB
+    pytest.importorskip("resource")
+    src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
+    probe = (
+        "import resource, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({1500 << 20}, {1500 << 20}))\n"
+        "from steiner_ekr import cli\n"
+        "start = time.perf_counter()\n"
+        "code = cli.main(['sweep', '--check', 'moments', '--l', '1000000000', '--a', '2',\n"
+        "                 '--excess', '0', '--r', '2000000000', '--format', 'json'])\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload, _, tail = proc.stdout.rstrip("\n").rpartition("\n")
+    payload = json.loads(payload)
+    assert payload["certified"] is True and payload["total_cases"] == 1
+    code, elapsed = tail.split()
+    assert code == "0" and float(elapsed) < 1.0
+
+
 def test_sweep_large_k_caps_runtime(capsys):
     code, out, _ = run(
         capsys, "sweep", "--check", "large-k", "--k-max", "20", "--format", "json"

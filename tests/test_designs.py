@@ -1,8 +1,7 @@
-"""Design construction, validation, serialization, and resolvability."""
+"""Design construction, validation and serialization."""
 
 import hashlib
 import io
-import time
 import tracemalloc
 
 import pytest
@@ -10,16 +9,13 @@ import pytest
 import steiner_ekr as se
 from steiner_ekr.designs import (
     MAX_BLOCKS,
-    MAX_RESOLUTION_STEPS,
     Design,
     DesignError,
-    NotResolvable,
     PairRepeated,
     PairUncovered,
     ParameterMismatch,
     ParseError,
     load_design,
-    parallel_classes,
     save_design,
 )
 
@@ -151,42 +147,6 @@ def test_parse_wrong_block_count():
     with pytest.raises(ParseError) as exc:
         load_design(io.StringIO("\n".join(lines) + "\n"))
     assert exc.value.line_no == 0
-
-
-def test_parallel_classes_affine():
-    d = se.affine_plane(3)
-    classes = parallel_classes(d)
-    assert len(classes) == 4
-    for cls in classes:
-        pts = [p for i in cls for p in d.blocks[i]]
-        assert sorted(pts) == list(range(9))
-
-
-def test_parallel_classes_spread():
-    d = se.pg3_line_design(2)
-    classes = parallel_classes(d)  # a spread partition of PG(3,2)
-    assert len(classes) == 7
-    assert all(len(cls) == 5 for cls in classes)
-
-
-def test_parallel_classes_one_factorization():
-    d = se.complete_graph(6)
-    assert len(parallel_classes(d)) == 5
-
-
-def test_not_resolvable():
-    with pytest.raises(NotResolvable):
-        parallel_classes(se.projective_plane(2))  # 3 does not divide 7
-
-
-def test_parallel_classes_search_is_budgeted():
-    # the search on unital:4 finds no resolution in any time we would wait
-    d = se.hermitian_unital(4)
-    start = time.perf_counter()
-    with pytest.raises(se.BudgetExceeded) as exc:
-        parallel_classes(d)
-    assert time.perf_counter() - start < 10
-    assert exc.value.count == MAX_RESOLUTION_STEPS + 1
 
 
 # -- size guard --------------------------------------------------------------

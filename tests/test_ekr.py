@@ -30,8 +30,6 @@ from steiner_ekr.ekr import (
     cover_profile,
     enumerate_maximal_ekr,
     find_onan,
-    has_onan,
-    intersection_adjacency,
     is_intersecting,
     is_maximal,
     max_ekr_size,
@@ -69,7 +67,7 @@ def test_blockset_rejects_bad_indices():
 
 def test_intersection_adjacency_fano_is_complete():
     d = se.projective_plane(2)
-    adj = intersection_adjacency(d)
+    adj = d.intersection_adjacency
     full = (1 << 7) - 1
     for i in range(7):
         assert adj[i] == full & ~(1 << i)
@@ -77,7 +75,7 @@ def test_intersection_adjacency_fano_is_complete():
 
 def test_intersection_adjacency_matches_block_overlap():
     d = se.sts13(1)
-    adj = intersection_adjacency(d)
+    adj = d.intersection_adjacency
     for i, j in itertools.combinations(range(d.b), 2):
         meets = bool(set(d.blocks[i]) & set(d.blocks[j]))
         assert bool((adj[i] >> j) & 1) == meets
@@ -87,7 +85,7 @@ def test_intersection_adjacency_matches_block_overlap():
 
 def test_analysed_designs_are_freed():
     d = se.hermitian_unital(3)
-    assert len(intersection_adjacency(d)) == 63
+    assert len(d.intersection_adjacency) == 63
     assert find_onan(d) is None
     ref = weakref.ref(d)
     del d
@@ -264,7 +262,7 @@ def test_budget_keeps_memory_small():
     # unital:3 rather than unital:4: tracing slows the search about 20-fold,
     # to some 8 s a call on unital:4's 12,545 families
     d = se.hermitian_unital(3)
-    intersection_adjacency(d)  # cached on the design, so left out of both peaks
+    d.intersection_adjacency  # cached on the design, so left out of both peaks
     capped, count = _enumeration_peak(d, max_count=10)
     full, full_count = _enumeration_peak(d)
     assert count == full_count == 1540
@@ -392,7 +390,7 @@ def test_find_onan_in_fano():
     quad = find_onan(d)
     assert quad == (0, 1, 3, 6)
     _assert_is_onan(d, quad)
-    assert has_onan(d)
+    assert find_onan(d) is not None
 
 
 def test_find_onan_in_projective_plane_three():
@@ -437,7 +435,7 @@ def test_onan_free_designs(name, suite):
     assert find_onan(suite.design(name)) is None
 
 
-def test_sts13_has_onan():
+def test_sts13_contains_onan():
     # consistent with its EKR_5 families: a design whose maximal families
     # are not all pencils or triangles must contain the configuration
     for variant in (1, 2):
@@ -448,12 +446,12 @@ def test_sts13_has_onan():
 
 
 def test_complete_graphs_have_no_onan():
-    assert not has_onan(se.complete_graph(8))
+    assert find_onan(se.complete_graph(8)) is None
 
 
 def test_pg3_designs_have_onan():
-    assert has_onan(se.pg3_line_design(2))
-    assert has_onan(se.pg3_line_design(3))
+    assert find_onan(se.pg3_line_design(2)) is not None
+    assert find_onan(se.pg3_line_design(3)) is not None
 
 
 # -- classification ----------------------------------------------------------
@@ -531,7 +529,7 @@ def test_classify_onan_free_reports_counterexample(suite):
     # feed a hand-picked non-pencil, non-triangle family to exercise the
     # refutation path: three lines in general position (k_s = 2, size 3)
     design = suite.design("affine3")
-    adj = intersection_adjacency(design)
+    adj = design.intersection_adjacency
     chosen = None
     for a, b, c in itertools.combinations(range(design.b), 3):
         if not ((adj[a] >> b) & 1 and (adj[a] >> c) & 1 and (adj[b] >> c) & 1):
@@ -563,7 +561,7 @@ def test_non_intersecting_family_is_not_a_triangle(suite):
     # four blocks through point 0 and a block that misses one of them: k+1
     # members with k on a point, but two members are disjoint
     design = suite.design("unital3")
-    adj = intersection_adjacency(design)
+    adj = design.intersection_adjacency
     other = next(i for i, bl in enumerate(design.blocks) if 0 not in bl)
     met = [j for j in design.incidence[0] if (adj[other] >> j) & 1]
     missed = next(j for j in design.incidence[0] if not (adj[other] >> j) & 1)

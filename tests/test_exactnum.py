@@ -370,8 +370,3 @@ def test_cbrt_sign_norm_matches_root_factoring():
         assert got == cbrt_sign_by_roots(c2, c1, c0, n), (c2, c1, c0, n)
         signs.add(got)
     assert signs == {-1, 0, 1}
-
-
-def test_float_views_are_sane():
-    assert float(SurdExpr(1, 1, 2)) == pytest.approx(2.41421356, abs=1e-6)
-    assert float(SurdExpr.rational(F(7, 2))) == 3.5
