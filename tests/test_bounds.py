@@ -43,7 +43,9 @@ from steiner_ekr.bounds import (
     unital_second_max_bound,
 )
 from steiner_ekr.errors import BudgetExceeded, DomainError
-from steiner_ekr.exactnum import EQUAL, SurdExpr, _floor_from_sign, cmp_surd, surd_floor
+from steiner_ekr.exactnum import (
+    EQUAL, GREATER, LESS, SurdExpr, _floor_from_sign, cmp_surd, surd_floor,
+)
 
 # Generous next to the milliseconds these calls take; a floor that walks one
 # integer at a time, or a window scan over c, blows through it.
@@ -308,6 +310,32 @@ def test_count_vectors_match_brute_force():
     assert checked > 1000
 
 
+def test_moment_certificate_matches_the_search_over_all_l_counts():
+    # the certificate searches only n_1..n_w with w(w-1) <= sum_ii; the
+    # search over all l counts must give the same cases and failures.  In the
+    # window sum_ii is b(b-1) + l(l+1)(a+2b-2), so w < l needs a = 2 - 2b
+    # and, for w > 2, b >= 3
+    checked = capped = 0
+    for l in range(2, 7):
+        for b in range(5):
+            for r in range(l + 2, l + 11):
+                for a in range(-6, 12):
+                    try:
+                        cert = certify_moment_inequality(l, a, b, r, budget=3000)
+                    except (DomainError, BudgetExceeded):
+                        continue
+                    s1, s2 = cert.ranges["sum_i"], cert.ranges["sum_ii"]
+                    if s1 < 0 or s2 < 0:
+                        continue
+                    rhs = F(b * (b - 1), 2) + F((a + 2 * b - 2) * l * (l + 1), 2)
+                    full = [(tuple(ns[1:]), lhs) for ns, lhs in _count_vectors(l, s1, s2)]
+                    assert cert.total_cases == len(full), (l, a, b, r)
+                    assert cert.failures == tuple(n for n, lhs in full if lhs > rhs)
+                    checked += 1
+                    capped += 2 < s2 < l * (l - 1)
+    assert checked > 500 and capped > 20
+
+
 def test_moment_certificate_starts_at_the_largest_admissible_multiplicity():
     # s2 = 0 forces n_2 = ... = n_l = 0: one vector, however long it is
     cert = certify_moment_inequality(2000, 2, 0, 2001)
@@ -462,6 +490,17 @@ def test_deficit_windows_abut_exactly():
         deficit_interval(13, 1)
     with pytest.raises(DomainError):
         deficit_interval(14, -1)
+
+
+def test_first_deficit_window_is_zero_to_sqrt_k_minus_1():
+    for k in range(14, 40):
+        lo, hi = deficit_interval(k, 0)
+        assert cmp_surd(lo, SurdExpr.rational(0)) == EQUAL
+        root = math.isqrt(k - 1)
+        assert cmp_surd(hi, SurdExpr.rational(root)) == (
+            EQUAL if root * root == k - 1 else GREATER
+        ), k
+        assert cmp_surd(hi, SurdExpr.rational(root + 1)) == LESS, k
 
 
 def test_locate_deficit_interval_spots():

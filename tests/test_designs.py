@@ -149,6 +149,22 @@ def test_parse_wrong_block_count():
     assert exc.value.line_no == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_affine_plane_lines_fall_into_parallel_classes(q):
+    # "equal or disjoint" is parallelism: q + 1 classes of q lines, each a
+    # partition of the q^2 points
+    d = se.affine_plane(q)
+    adj = d.intersection_adjacency
+    classes = {
+        frozenset(j for j in range(d.b) if j == i or not adj[i] >> j & 1)
+        for i in range(d.b)
+    }
+    assert len(classes) == q + 1
+    for cls in classes:
+        pts = [p for i in cls for p in d.blocks[i]]
+        assert sorted(pts) == list(range(q * q))
+
+
 # -- size guard --------------------------------------------------------------
 
 
