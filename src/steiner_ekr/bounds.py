@@ -413,7 +413,7 @@ def default_c_sampler(k: int) -> tuple[int, ...]:
     return tuple(sorted({1, top // 2, top}))
 
 
-def sweep_large_k(k_max: int = 50, c_sampler=None) -> SweepCertificate:
+def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
     """Exact surd verification of the two large-k inequalities over k in [14, k_max].
 
     For each sampled c (within 1..C_k, checked exactly) and b in {0, c}:
@@ -422,17 +422,21 @@ def sweep_large_k(k_max: int = 50, c_sampler=None) -> SweepCertificate:
     and, once per k, the b = 0 left side is negative.  A negative discriminant
     is recorded as a failure since the square root leaves the rationals.
     The c grid is a deterministic sample; the continuous range is covered by
-    the underlying analytic argument, not by this sweep.
+    the underlying analytic argument, not by this sweep.  Each k costs seven
+    cases (three c, two b each, one b = 0 check), so a sweep of more than
+    budget cases raises BudgetExceeded before it starts.
     """
     if k_max < 14:
         raise DomainError("large-k sweep starts at k = 14")
-    sampler = c_sampler or default_c_sampler
+    need = 7 * (k_max - 13)
+    if need > budget:
+        raise BudgetExceeded(f"large-k sweep needs {need} cases, more than {budget}", count=need)
     failures: list[tuple] = []
     cases = 0
     for k in range(14, k_max + 1):
         denom = 4 * (k - 1)
         limit = _axis_limit(k)
-        for c in sampler(k):
+        for c in default_c_sampler(k):
             if c < 1 or cmp_surd(SurdExpr.rational(c), limit) > 0:
                 failures.append(("c-range", k, c))
                 continue

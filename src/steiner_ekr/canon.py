@@ -29,8 +29,9 @@ cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
 Point-pencils and triangles, which the paper's dichotomy makes the common
 case, skip the search: the set system itself is recognised and its form is
 written down, the minimum the search would return.  The same two forms are
-``ekr``'s shape rule: a family is a point-pencil when its classes have the
-pencil form, and a triangle when they have the triangle form on k+1 members.
+the shape rule of ``shape``: a family of two or more members is a
+point-pencil when its classes have the pencil form, and a triangle when they
+have the triangle form on k+1 members; any other family has no shape.
 
 - Pencil: one class holding all s positions.  Every permutation preserves
   it, so every leaf has the code (0, 1, ..., s-1).
@@ -199,3 +200,14 @@ def canonical_code(family) -> str:
     form = canonical_set_system(s, subs)
     body = ";".join(",".join(map(str, S)) for S in form)
     return f"k{family.design.k}:s{s}:{body}"
+
+
+def shape(family) -> str | None:
+    """The family's shape by the rule above: "point-pencil", "triangle" or None."""
+    s, subs = concurrency_classes(family)
+    form = _closed_form(s, subs) if s >= 2 else None
+    if form is None:
+        return None
+    if len(form) == 1:
+        return "point-pencil"
+    return "triangle" if s == family.design.k + 1 else None

@@ -318,7 +318,7 @@ def _deficit_grid(a) -> dict:
 # check -> (options it needs, payload builder); the --check choices
 _CHECKS = {
     "deficit-grid": (["k"], _deficit_grid),
-    "large-k": ([], lambda a: bounds.sweep_large_k(k_max=a.k_max).as_json()),
+    "large-k": ([], lambda a: bounds.sweep_large_k(k_max=a.k_max, budget=a.budget).as_json()),
     "moments": (
         ["l", "a", "excess", "r"],
         lambda a: bounds.certify_moment_inequality(
@@ -355,7 +355,6 @@ def _add_design_opts(p, enumerating=False):
     if enumerating:
         p.add_argument("--min-size", type=int, default=1)
         p.add_argument("--max-count", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None, help="accepted and ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:

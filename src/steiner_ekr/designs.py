@@ -3,6 +3,11 @@
 A design here is a point set 0 .. v-1 together with b blocks of k points such
 that every pair of points lies in exactly one block.  Validation is part of
 construction: a ``Design`` instance that exists has passed the pair axiom.
+
+Incidence is kept only as bitmasks, each built from the block list: per
+block its points, per point the blocks through it, and per block the other
+blocks it meets.  Every geometric builtin is the secant-line design of a
+point set, built by ``geometry.secant_lines``.
 """
 
 from __future__ import annotations
@@ -90,15 +95,6 @@ class Design:
         return (self.v - 1) // (self.k - 1)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per point, the sorted block indices through it (r each)."""
-        lists: list[list[int]] = [[] for _ in range(self.v)]
-        for bi, bl in enumerate(self.blocks):
-            for p in bl:
-                lists[p].append(bi)
-        return tuple(tuple(l) for l in lists)
-
-    @cached_property
     def block_masks(self) -> tuple[int, ...]:
         out = []
         for bl in self.blocks:
@@ -111,16 +107,24 @@ class Design:
     @cached_property
     def pencil_masks(self) -> tuple[int, ...]:
         """Per point, the bitmask of the blocks through it."""
-        return tuple(sum(1 << j for j in through) for through in self.incidence)
+        pencils = [0] * self.v
+        for bi, bl in enumerate(self.blocks):
+            bit = 1 << bi
+            for p in bl:
+                pencils[p] |= bit
+        return tuple(pencils)
 
     @cached_property
     def intersection_adjacency(self) -> tuple[int, ...]:
         """Per block, the bitmask of other blocks sharing a point with it."""
-        adj = [0] * self.b
-        for through, m in zip(self.incidence, self.pencil_masks):
-            for j in through:
-                adj[j] |= m
-        return tuple(a & ~(1 << j) for j, a in enumerate(adj))
+        pencils = self.pencil_masks
+        adj = []
+        for bi, bl in enumerate(self.blocks):
+            a = 0
+            for p in bl:
+                a |= pencils[p]
+            adj.append(a & ~(1 << bi))
+        return tuple(adj)
 
     def block_index(self, block) -> int:
         """Index of a block given as an iterable of points."""
@@ -172,13 +176,8 @@ def affine_plane(q: int) -> Design:
     """Lines of AG(2, q): a 2-(q^2, q, 1) design; point (x, y) has index x*q + y."""
     _check_block_count("affine", q, q * q + q)
     fld = field_for_order(q)
-    blocks = []
-    for m in fld.elements:
-        for c in fld.elements:
-            blocks.append(tuple(sorted(x * q + fld.add(fld.mul(m, x), c) for x in fld.elements)))
-    for c in fld.elements:
-        blocks.append(tuple(c * q + y for y in fld.elements))
-    return Design(q * q, q, blocks, name=f"affine:{q}")
+    pts = [(1, x, y) for x in fld.elements for y in fld.elements]
+    return Design(q * q, q, secant_lines(fld, pts), name=f"affine:{q}")
 
 
 def hermitian_unital(q: int) -> Design:

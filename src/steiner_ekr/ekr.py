@@ -2,15 +2,20 @@
 
 Block families are bit vectors over block indices, and the pairwise
 intersection relation is one adjacency bitmask per block, so the maximality
-and enumeration loops are word-parallel.  Enumeration is Bron-Kerbosch with
-Tomita pivoting from a root whose candidates are all blocks.  Every node
-branches in block index order and its pivot ties break toward the smaller
-index, which makes every stream deterministic; no degeneracy order is built,
-since the intersection graph of a 2-(v,k,1) design is regular.  A node whose
-excluded set holds a block meeting every candidate returns at once,
-children with at most one candidate are settled in their parent's loop, and
-a node's last child to search continues in the parent's frame.
-Families are kept as bit vectors and sorted by index tuple at the end.
+and enumeration loops are word-parallel.  A point-pencil is the design's
+pencil mask of its point, and a triangle is the part of that pencil meeting
+its base block, plus the base; ``canon.shape`` tells the two shapes apart
+from every other family.
+
+Enumeration is Bron-Kerbosch with Tomita pivoting from a root whose
+candidates are all blocks.  Every node branches in block index order and its
+pivot ties break toward the smaller index, which makes every stream
+deterministic; no degeneracy order is built, since the intersection graph of
+a 2-(v,k,1) design is regular.  A node whose excluded set holds a block
+meeting every candidate returns at once, children with at most one
+candidate are settled in their parent's loop, and a node's last child to
+search continues in the parent's frame.  Families are kept as bit vectors
+and sorted by index tuple at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .canon import _closed_form, canonical_code, concurrency_classes
+from .canon import canonical_code, shape
 from .designs import Design
 from .errors import BudgetExceeded, DomainError
 
@@ -142,7 +147,7 @@ def point_pencil(design: Design, point: int) -> BlockSet:
     """The r blocks through a point."""
     if not 0 <= point < design.v:
         raise DomainError(f"point {point} outside 0..{design.v - 1}")
-    return BlockSet(design, design.incidence[point])
+    return BlockSet(design, design.pencil_masks[point])
 
 
 def triangle(design: Design, point: int, block: int) -> BlockSet:
@@ -153,10 +158,8 @@ def triangle(design: Design, point: int, block: int) -> BlockSet:
         raise DomainError(f"block index {block} outside 0..{design.b - 1}")
     if point in design.blocks[block]:
         raise PointOnBlock(f"point {point} lies on block {block}")
-    adj = design.intersection_adjacency
-    members = [block]
-    members.extend(j for j in design.incidence[point] if (adj[block] >> j) & 1)
-    return BlockSet(design, members)
+    meets = design.pencil_masks[point] & design.intersection_adjacency[block]
+    return BlockSet(design, meets | 1 << block)
 
 
 def cover_profile(family: BlockSet) -> CoverProfile:
@@ -263,7 +266,6 @@ def enumerate_maximal_ekr(
     design: Design,
     min_size: int = 1,
     max_count: int | None = None,
-    workers: int = 1,
 ) -> list[BlockSet]:
     """Every maximal intersecting family with at least min_size blocks.
 
@@ -271,8 +273,7 @@ def enumerate_maximal_ekr(
     inputs give identical streams.  When more than max_count families exist
     the search raises BudgetExceeded rather than truncate silently: it keeps
     at most max_count families but counts them all, so the exception's count
-    is exact and memory stays O(max_count).  workers is accepted and ignored;
-    the search runs in this process.
+    is exact and memory stays O(max_count).
 
     The root of the search is an ordinary node whose candidates are all
     blocks, so its children are the blocks its pivot misses, and every node
@@ -318,8 +319,7 @@ def max_ekr_size(design: Design) -> BlockSet:
     the search only has to certify optimality or beat r.
     """
     adj = design.intersection_adjacency
-    seed = tuple(design.incidence[0])
-    best: list = [len(seed), seed]
+    best: list = [design.r, design.pencil_masks[0]]
 
     def color_sort(P: int) -> list[tuple[int, int]]:
         order = []
@@ -403,29 +403,13 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
 # -- classification ---------------------------------------------------------
 
 
-def _shape(family: BlockSet) -> str | None:
-    """The family's shape: "point-pencil", "triangle", or None for neither.
-
-    The shapes are canon's closed forms of the concurrency classes: a pencil
-    is one class holding every member, a triangle the triangle form on k+1
-    members.  A family of fewer than two members has no shape.
-    """
-    s, subs = concurrency_classes(family)
-    form = _closed_form(s, subs) if s >= 2 else None
-    if form is None:
-        return None
-    if len(form) == 1:
-        return "point-pencil"
-    return "triangle" if s == family.design.k + 1 else None
-
-
 def _label(family: BlockSet, code: str) -> str:
-    shape = _shape(family)
+    kind = shape(family)
     size = len(family)
-    if family.design.k == 3 and shape != "point-pencil":
+    if family.design.k == 3 and kind != "point-pencil":
         return f"EKR_{size}"
-    if shape:
-        return shape
+    if kind:
+        return kind
     digest = hashlib.sha256(code.encode()).hexdigest()[:8]
     return f"type-s{size}-{digest}"
 
@@ -505,10 +489,10 @@ def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
     pencils = 0
     triangles = 0
     for fam in families:
-        shape = _shape(fam)
-        if shape == "point-pencil":
+        kind = shape(fam)
+        if kind == "point-pencil":
             pencils += 1
-        elif shape == "triangle":
+        elif kind == "triangle":
             triangles += 1
         else:
             return OnanFreeVerdict(False, pencils, triangles, counterexample=fam)

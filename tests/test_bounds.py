@@ -17,6 +17,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steiner_ekr import bounds
 from steiner_ekr.bounds import (
     DEFICIT_CAPS,
     CubeRootBound,
@@ -472,8 +473,9 @@ def test_sweep_large_k_minimum():
         sweep_large_k(13)
 
 
-def test_sweep_large_k_flags_out_of_range_c():
-    cert = sweep_large_k(14, c_sampler=lambda k: (80,))
+def test_sweep_large_k_flags_out_of_range_c(monkeypatch):
+    monkeypatch.setattr(bounds, "default_c_sampler", lambda k: (80,))
+    cert = sweep_large_k(14)
     assert not cert.certified
     assert ("c-range", 14, 80) in cert.failures
 

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -349,12 +350,21 @@ def test_sweep_moments_memory_does_not_grow_with_l():
 
 
 def test_sweep_large_k_caps_runtime(capsys):
-    code, out, _ = run(
-        capsys, "sweep", "--check", "large-k", "--k-max", "20", "--format", "json"
-    )
+    argv = ("sweep", "--check", "large-k", "--k-max", "20", "--format", "json")
+    code, out, _ = run(capsys, *argv)
     payload = json.loads(out)
     assert payload["certified"] is True
     assert payload["total_cases"] == 49
+    # seven cases for each k in 14..20, counted against --budget before the sweep
+    assert run(capsys, *argv, "--budget", "48") == (
+        1, "", "error: large-k sweep needs 49 cases, more than 48\n"
+    )
+    assert json.loads(run(capsys, *argv, "--budget", "49")[1])["total_cases"] == 49
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--check", "large-k", "--k-max", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: large-k sweep needs 6999999909 cases, more than 2000000\n"
 
 
 # -- exit codes and determinism --------------------------------------------------
@@ -412,22 +422,12 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_worker_count_does_not_change_output(capsys, monkeypatch):
-    base = run(capsys, "enumerate", "--design", "sts13:1", "--format", "csv")
-    multi = run(
-        capsys, "enumerate", "--design", "sts13:1", "--format", "csv", "--workers", "3"
-    )
-    assert base == multi
-    monkeypatch.setenv("EKR_WORKERS", "2")
-    env = run(capsys, "enumerate", "--design", "sts13:1", "--format", "csv")
-    assert env == base
-
-
 def test_bad_worker_env_is_ignored(capsys, monkeypatch):
-    # EKR_WORKERS is not read, so a value that is not a number changes nothing
+    # EKR_WORKERS is not read, so no value of it changes anything
     base = run(capsys, "enumerate", "--design", "projective:2")
-    monkeypatch.setenv("EKR_WORKERS", "many")
-    assert run(capsys, "enumerate", "--design", "projective:2") == base
+    for value in ("2", "many"):
+        monkeypatch.setenv("EKR_WORKERS", value)
+        assert run(capsys, "enumerate", "--design", "projective:2") == base
     assert base[0] == 0
 
 
@@ -448,14 +448,14 @@ def test_cli_start_does_not_import_the_worker_pool():
 
 
 def test_enumerate_imports_no_process_pool():
-    # enumeration runs in this process whatever --workers says: loading
-    # concurrent.futures or multiprocessing would cost every CLI start
+    # enumeration runs in this process: loading concurrent.futures or
+    # multiprocessing would cost every CLI start
     src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
     probe = (
         "import contextlib, io, sys\n"
         "from steiner_ekr import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['enumerate', '--design', 'sts13:1', '--workers', '2'])\n"
+        "    code = cli.main(['enumerate', '--design', 'sts13:1'])\n"
         "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
     )
     out = subprocess.run(

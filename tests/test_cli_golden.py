@@ -141,6 +141,13 @@ def test_cli_matrix_replays_byte_exact(entry):
     assert got == want
 
 
+def test_every_argv_is_recorded():
+    # the replay above only sees what the JSON holds
+    data = _load()
+    recorded = {tuple(e["argv"]) for e in [*data["cases"], *data["changed"]]}
+    assert [a for a in _argvs() if tuple(a) not in recorded] == []
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
     changed = _load()["changed"] if MATRIX.exists() else []

@@ -199,10 +199,23 @@ def test_block_cap_boundary():
 
 
 # First 16 hex digits of the sha256 of each design's save_design text,
-# recorded before the projective lines and the unital blocks shared one
-# secant-line builder.  The projective planes cover every non-prime field
-# that a builtin below MAX_BLOCKS reaches.
+# recorded before the projective lines, the unital blocks and the affine
+# lines shared one secant-line builder.  The projective planes cover every
+# non-prime field that a builtin below MAX_BLOCKS reaches; the affine planes
+# run from the smallest order to the largest below it.
 BUILTIN_DIGESTS = {
+    "affine:2": "f854afd3807425e5",
+    "affine:3": "ee682aad8a7200b2",
+    "affine:4": "5c60a20566c62fd3",
+    "affine:5": "34180c2b3864fe9a",
+    "affine:7": "5f266452064bb505",
+    "affine:8": "5b6e50946c7ae2a8",
+    "affine:9": "a7d183f2afc78387",
+    "affine:16": "e2a7c27dcd97b9e5",
+    "affine:25": "9733632f2ae2f180",
+    "affine:27": "a1bfbfed9d8d2ee2",
+    "affine:32": "40f4267cdbd404a6",
+    "affine:43": "41f3f42941c66ab2",
     "projective:4": "65c93d895905c1b7",
     "projective:8": "7261f8f61e2e7833",
     "projective:9": "37598d5e79bdf2a8",
@@ -223,6 +236,7 @@ BUILTIN_DIGESTS = {
 }
 
 _MAKERS = {
+    "affine": se.affine_plane,
     "projective": se.projective_plane,
     "pg3": se.pg3_line_design,
     "unital": se.hermitian_unital,

@@ -40,6 +40,16 @@ from steiner_ekr.ekr import (
 from steiner_ekr.errors import BudgetExceeded, DomainError
 
 
+# Every builtin design the classification digest covers.
+DIGEST_CORPUS = (
+    [(se.complete_graph, n) for n in range(3, 11)]
+    + [(se.sts13, 1), (se.sts13, 2)]
+    + [(se.projective_plane, q) for q in (2, 3, 4, 5)]
+    + [(se.affine_plane, 3), (se.affine_plane, 4), (se.pg3_line_design, 2)]
+    + [(se.hermitian_unital, q) for q in (2, 3, 4)]
+)
+
+
 # -- block sets --------------------------------------------------------------
 
 
@@ -73,14 +83,47 @@ def test_intersection_adjacency_fano_is_complete():
         assert adj[i] == full & ~(1 << i)
 
 
-def test_intersection_adjacency_matches_block_overlap():
-    d = se.sts13(1)
+def _through(design, point):
+    return [j for j, bl in enumerate(design.blocks) if point in bl]
+
+
+def _relabelled(design, seed):
+    """design with its points permuted; Design sorts its blocks, so their indices move too."""
+    perm = list(range(design.v))
+    random.Random(seed).shuffle(perm)
+    return se.Design(design.v, design.k, [sorted(perm[p] for p in bl) for bl in design.blocks])
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["given", "relabelled"])
+@pytest.mark.parametrize(
+    "make, arg", DIGEST_CORPUS, ids=[f"{make.__name__}-{arg}" for make, arg in DIGEST_CORPUS]
+)
+def test_intersection_adjacency_matches_block_overlap(make, arg, relabel):
+    d = make(arg)
+    if relabel:
+        d = _relabelled(d, arg)
     adj = d.intersection_adjacency
     for i, j in itertools.combinations(range(d.b), 2):
         meets = bool(set(d.blocks[i]) & set(d.blocks[j]))
         assert bool((adj[i] >> j) & 1) == meets
         assert bool((adj[j] >> i) & 1) == meets
     assert all(not (adj[i] >> i) & 1 for i in range(d.b))
+    for p in range(d.v):
+        assert d.pencil_masks[p] == sum(1 << j for j in _through(d, p))
+
+
+@pytest.mark.parametrize("name", ["sts13a", "unital3"])
+def test_pencils_and_triangles_match_block_lists(suite, name):
+    # the list-based definitions the mask expressions replaced
+    d = suite.design(name)
+    for p in range(d.v):
+        through = _through(d, p)
+        assert point_pencil(d, p) == BlockSet(d, through)
+        for blk, bl in enumerate(d.blocks):
+            if p in bl:
+                continue
+            members = [blk] + [j for j in through if set(d.blocks[j]) & set(bl)]
+            assert triangle(d, p, blk) == BlockSet(d, members)
 
 
 def test_analysed_designs_are_freed():
@@ -202,21 +245,12 @@ def test_min_size_is_a_pure_filter(suite):
     assert len(filtered) == 37
 
 
-def test_worker_counts_agree(suite):
-    design, serial = suite.pair("sts13a")
-    assert enumerate_maximal_ekr(design, workers=2) == serial
-    assert enumerate_maximal_ekr(design, workers=5) == serial
-
-
 def test_budget_is_enforced():
     d = se.sts13(1)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_maximal_ekr(d, max_count=10)
     assert exc.value.count == 201
     assert len(enumerate_maximal_ekr(d, max_count=201)) == 201
-    with pytest.raises(BudgetExceeded) as exc:
-        enumerate_maximal_ekr(d, max_count=10, workers=2)
-    assert exc.value.count == 201
 
 
 @pytest.mark.parametrize("make, arg", [(se.sts13, 1), (se.hermitian_unital, 3)])
@@ -267,13 +301,6 @@ def test_budget_keeps_memory_small():
     full, full_count = _enumeration_peak(d)
     assert count == full_count == 1540
     assert capped < full / 20
-
-
-def _relabelled(design, seed):
-    """design with its points permuted; Design sorts its blocks, so their indices move too."""
-    perm = list(range(design.v))
-    random.Random(seed).shuffle(perm)
-    return se.Design(design.v, design.k, [sorted(perm[p] for p in bl) for bl in design.blocks])
 
 
 # Every builtin design with at most 208 blocks except affine:q for q >= 7:
@@ -563,8 +590,9 @@ def test_non_intersecting_family_is_not_a_triangle(suite):
     design = suite.design("unital3")
     adj = design.intersection_adjacency
     other = next(i for i, bl in enumerate(design.blocks) if 0 not in bl)
-    met = [j for j in design.incidence[0] if (adj[other] >> j) & 1]
-    missed = next(j for j in design.incidence[0] if not (adj[other] >> j) & 1)
+    through = _through(design, 0)
+    met = [j for j in through if (adj[other] >> j) & 1]
+    missed = next(j for j in through if not (adj[other] >> j) & 1)
     fam = BlockSet(design, met[:3] + [missed, other])
     assert len(fam) == design.k + 1 and cover_profile(fam).k_s == design.k
     assert not is_intersecting(fam)
@@ -584,16 +612,6 @@ def test_families_below_two_members_have_no_shape(suite, members):
     verdict = classify_onan_free(design, [fam])
     assert not verdict.confirmed
     assert verdict.counterexample == fam
-
-
-# Every builtin design the classification digest covers.
-DIGEST_CORPUS = (
-    [(se.complete_graph, n) for n in range(3, 11)]
-    + [(se.sts13, 1), (se.sts13, 2)]
-    + [(se.projective_plane, q) for q in (2, 3, 4, 5)]
-    + [(se.affine_plane, 3), (se.affine_plane, 4), (se.pg3_line_design, 2)]
-    + [(se.hermitian_unital, q) for q in (2, 3, 4)]
-)
 
 
 def _classification_digest() -> str:
