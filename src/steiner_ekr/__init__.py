@@ -1,163 +1,16 @@
 """Steiner systems, their maximal intersecting block families, and exact bounds."""
 
-from .bounds import (
-    BoundReport,
-    CubeRootBound,
-    DEFICIT_CAPS,
-    NearExtremalVerdict,
-    ReplicationVerdict,
-    SweepCertificate,
-    certify_moment_inequality,
-    counting_bound,
-    counting_bound_deficit,
-    cover_range_submax,
-    deficit_cap,
-    deficit_interval,
-    discriminant,
-    locate_deficit_interval,
-    multiplicity_cap_bound,
-    near_extremal_cutoff,
-    near_extremal_threshold,
-    pencil_uniqueness_threshold,
-    replication_threshold,
-    sweep_deficit_grid,
-    sweep_large_k,
-    unital_counting_bound,
-    unital_second_max_bound,
-)
-from .canon import canonical_code, canonical_set_system, concurrency_classes
-from .designs import (
-    Design,
-    DesignError,
-    ParameterMismatch,
-    PairRepeated,
-    PairUncovered,
-    ParseError,
-    affine_plane,
-    complete_graph,
-    hermitian_unital,
-    load_design,
-    pg3_line_design,
-    projective_plane,
-    save_design,
-    sts13,
-)
-from .ekr import (
-    BlockSet,
-    CoverProfile,
-    EkrType,
-    HasONan,
-    NotIntersecting,
-    OnanFreeVerdict,
-    PointOnBlock,
-    classification_report,
-    classify,
-    classify_onan_free,
-    cover_profile,
-    enumerate_maximal_ekr,
-    find_onan,
-    is_intersecting,
-    is_maximal,
-    max_ekr_size,
-    maximal_family_sizes,
-    point_pencil,
-    triangle,
-)
-from .errors import BudgetExceeded, DomainError
-from .exactnum import (
-    EQUAL,
-    GREATER,
-    LESS,
-    Rational,
-    RootBracket,
-    SurdExpr,
-    cbrt_quadratic_sign,
-    cmp_surd,
-    icbrt_floor,
-    surd_floor,
-    surd_sign,
-)
-from .geometry import Field, field, field_for_order, hermitian_points, pg_lines, pg_points
+from . import bounds, canon, designs, ekr, errors, exactnum, geometry
+from .bounds import *
+from .canon import *
+from .designs import *
+from .ekr import *
+from .errors import *
+from .exactnum import *
+from .geometry import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockSet",
-    "BoundReport",
-    "BudgetExceeded",
-    "CoverProfile",
-    "CubeRootBound",
-    "DEFICIT_CAPS",
-    "Design",
-    "DesignError",
-    "DomainError",
-    "EQUAL",
-    "EkrType",
-    "Field",
-    "GREATER",
-    "HasONan",
-    "LESS",
-    "NearExtremalVerdict",
-    "NotIntersecting",
-    "OnanFreeVerdict",
-    "PairRepeated",
-    "PairUncovered",
-    "ParameterMismatch",
-    "ParseError",
-    "PointOnBlock",
-    "Rational",
-    "ReplicationVerdict",
-    "RootBracket",
-    "SurdExpr",
-    "SweepCertificate",
-    "affine_plane",
-    "canonical_code",
-    "canonical_set_system",
-    "cbrt_quadratic_sign",
-    "certify_moment_inequality",
-    "classification_report",
-    "classify",
-    "classify_onan_free",
-    "cmp_surd",
-    "complete_graph",
-    "concurrency_classes",
-    "counting_bound",
-    "counting_bound_deficit",
-    "cover_profile",
-    "cover_range_submax",
-    "deficit_cap",
-    "deficit_interval",
-    "discriminant",
-    "enumerate_maximal_ekr",
-    "field",
-    "field_for_order",
-    "find_onan",
-    "hermitian_points",
-    "hermitian_unital",
-    "icbrt_floor",
-    "is_intersecting",
-    "is_maximal",
-    "load_design",
-    "locate_deficit_interval",
-    "max_ekr_size",
-    "maximal_family_sizes",
-    "multiplicity_cap_bound",
-    "near_extremal_cutoff",
-    "near_extremal_threshold",
-    "pencil_uniqueness_threshold",
-    "pg3_line_design",
-    "pg_lines",
-    "pg_points",
-    "point_pencil",
-    "projective_plane",
-    "replication_threshold",
-    "save_design",
-    "sts13",
-    "surd_floor",
-    "surd_sign",
-    "sweep_deficit_grid",
-    "sweep_large_k",
-    "triangle",
-    "unital_counting_bound",
-    "unital_second_max_bound",
-]
+__all__ = sorted(
+    name for mod in (bounds, canon, designs, ekr, errors, exactnum, geometry) for name in mod.__all__
+)

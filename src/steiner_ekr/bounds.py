@@ -27,6 +27,32 @@ from .exactnum import (
     surd_sign,
 )
 
+__all__ = [
+    "BoundReport",
+    "CubeRootBound",
+    "DEFICIT_CAPS",
+    "NearExtremalVerdict",
+    "ReplicationVerdict",
+    "SweepCertificate",
+    "certify_moment_inequality",
+    "counting_bound",
+    "counting_bound_deficit",
+    "cover_range_submax",
+    "deficit_cap",
+    "deficit_interval",
+    "discriminant",
+    "locate_deficit_interval",
+    "multiplicity_cap_bound",
+    "near_extremal_cutoff",
+    "near_extremal_threshold",
+    "pencil_uniqueness_threshold",
+    "replication_threshold",
+    "sweep_deficit_grid",
+    "sweep_large_k",
+    "unital_counting_bound",
+    "unital_second_max_bound",
+]
+
 # Largest deficit per block size for which the counting bound stays below the
 # pencil size over the whole admissible excess grid; certified by
 # sweep_deficit_grid and equal to deficit_cap(k) for every entry.
@@ -39,10 +65,6 @@ def _frac_str(x) -> str:
 
 
 def _render(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, enum.Enum):
-        return x.value
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):

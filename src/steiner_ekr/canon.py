@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+__all__ = ["canonical_code", "canonical_set_system", "concurrency_classes"]
+
 
 def _refine(s: int, subs: list[frozenset[int]], mem: list[list[int]], colors: list[int]) -> list[int]:
     """Stable coloring of 0..s-1 jointly refined with the class colors."""

@@ -412,7 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--excess", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=2_000_000,
+        help="case cap of the large-k and moments checks; deficit-grid ignores it",
+    )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_table(p, _CHECKS, "check"))
 

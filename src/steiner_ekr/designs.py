@@ -16,7 +16,24 @@ from bisect import bisect_left
 from functools import cached_property
 
 from .errors import DomainError
-from .geometry import field_for_order, hermitian_points, pg_lines, prime_power, secant_lines
+from .geometry import field_for_order, hermitian_points, pg_lines, secant_lines
+
+__all__ = [
+    "Design",
+    "DesignError",
+    "ParameterMismatch",
+    "PairRepeated",
+    "PairUncovered",
+    "ParseError",
+    "affine_plane",
+    "complete_graph",
+    "hermitian_unital",
+    "load_design",
+    "pg3_line_design",
+    "projective_plane",
+    "save_design",
+    "sts13",
+]
 
 
 class DesignError(DomainError):
@@ -183,11 +200,9 @@ def affine_plane(q: int) -> Design:
 def hermitian_unital(q: int) -> Design:
     """Secant-line design of the Hermitian curve: 2-(q^3+1, q+1, 1)."""
     _check_block_count("unital", q, q * q * (q * q - q + 1))
-    prime_power(q)
-    blocks = secant_lines(field_for_order(q * q), hermitian_points(q))
-    if any(len(block) != q + 1 for block in blocks):
-        raise DesignError("secant line does not meet the curve in q+1 points")
-    return Design(q**3 + 1, q + 1, blocks, name=f"unital:{q}")
+    # the curve first: it factors q itself, so an error names q, not q**2
+    pts = hermitian_points(q)
+    return Design(q**3 + 1, q + 1, secant_lines(field_for_order(q * q), pts), name=f"unital:{q}")
 
 
 def complete_graph(v: int) -> Design:

@@ -28,6 +28,28 @@ from .canon import canonical_code, shape
 from .designs import Design
 from .errors import BudgetExceeded, DomainError
 
+__all__ = [
+    "BlockSet",
+    "CoverProfile",
+    "EkrType",
+    "HasONan",
+    "NotIntersecting",
+    "OnanFreeVerdict",
+    "PointOnBlock",
+    "classification_report",
+    "classify",
+    "classify_onan_free",
+    "cover_profile",
+    "enumerate_maximal_ekr",
+    "find_onan",
+    "is_intersecting",
+    "is_maximal",
+    "max_ekr_size",
+    "maximal_family_sizes",
+    "point_pencil",
+    "triangle",
+]
+
 
 class NotIntersecting(DomainError):
     pass
@@ -319,9 +341,10 @@ def max_ekr_size(design: Design) -> BlockSet:
     the search only has to certify optimality or beat r.
     """
     adj = design.intersection_adjacency
-    best: list = [design.r, design.pencil_masks[0]]
+    best = [design.r, design.pencil_masks[0]]
 
-    def color_sort(P: int) -> list[tuple[int, int]]:
+    def expand(size: int, R: int, P: int):
+        # R is a clique of size blocks; colour its candidates P greedily
         order = []
         un = P
         color = 0
@@ -330,34 +353,25 @@ def max_ekr_size(design: Design) -> BlockSet:
             avail = un
             while avail:
                 bit = avail & -avail
-                v = bit.bit_length() - 1
-                order.append((v, color))
-                avail &= ~adj[v] & ~bit
+                order.append((bit, color))
+                avail &= ~adj[bit.bit_length() - 1] & ~bit
                 un ^= bit
-        return order
-
-    def expand(R: list[int], P: int):
-        order = color_sort(P)
-        if order[-1][1] == len(order):
-            # every vertex has its own colour, so P is a clique and R + P the best below
-            if len(R) + len(order) > best[0]:
-                best[0] = len(R) + len(order)
-                best[1] = tuple(sorted(R + [v for v, _ in order]))
+        if color == len(order):
+            # every vertex has its own colour, so P is a clique and R | P the best below
+            if size + color > best[0]:
+                best[0], best[1] = size + color, R | P
             return
-        for v, c in reversed(order):
-            if len(R) + c <= best[0]:
+        for bit, c in reversed(order):
+            if size + c <= best[0]:
                 return
-            R.append(v)
-            Pv = P & adj[v]
+            Pv = P & adj[bit.bit_length() - 1]
             if Pv:
-                expand(R, Pv)
-            elif len(R) > best[0]:
-                best[0] = len(R)
-                best[1] = tuple(sorted(R))
-            R.pop()
-            P &= ~(1 << v)
+                expand(size + 1, R | bit, Pv)
+            elif size + 1 > best[0]:
+                best[0], best[1] = size + 1, R | bit
+            P ^= bit
 
-    expand([], (1 << design.b) - 1)
+    expand(0, 0, (1 << design.b) - 1)
     return BlockSet(design, best[1])
 
 

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["BudgetExceeded", "DomainError"]
+
 
 class DomainError(Exception):
     """Input violates the documented contract of an operation."""

@@ -14,6 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
+__all__ = [
+    "EQUAL",
+    "GREATER",
+    "LESS",
+    "Rational",
+    "RootBracket",
+    "SurdExpr",
+    "cbrt_quadratic_sign",
+    "cmp_surd",
+    "icbrt_floor",
+    "surd_floor",
+    "surd_sign",
+]
+
 Rational = Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1

@@ -1,13 +1,19 @@
 """Small finite fields, projective / Hermitian point sets and their secant lines.
 
-Fields GF(p^e) are capped at 2**16 elements and use a dense integer element
-encoding: the element with base-p digits (c0, c1, ...) is sum(ci * p**i), so
-0 and 1 are the additive and multiplicative identities.  ``Field(p, e)`` takes
-as its modulus the least monic irreducible polynomial of degree e, with
-coefficients compared from the highest degree down; ``field(p, e)`` is its
-cached constructor.  Multiplication runs on discrete log tables built from a
-fixed generator search, which keeps every construction reproducible across
-runs and platforms.
+Two caps keep every construction small.  Fields GF(p^e) have at most
+``MAX_FIELD_ORDER`` = 2**16 elements, and ``prime_power`` refuses a q above
+that cap before it factors, so no trial division runs on a larger number.  A
+projective space has at most ``MAX_POINTS`` = 2**17 points: ``pg_points``
+refuses a larger one before listing it.
+
+Field elements use a dense integer encoding: the element with base-p digits
+(c0, c1, ...) is sum(ci * p**i), so 0 and 1 are the additive and
+multiplicative identities.  ``Field(p, e)`` takes as its modulus the least
+monic irreducible polynomial of degree e, with coefficients compared from the
+highest degree down; ``field(p, e)`` is its cached constructor.
+Multiplication runs on discrete log tables built from a fixed generator
+search, which keeps every construction reproducible across runs and
+platforms.
 
 Lines of PG(d, q) and the blocks of a Hermitian unital are both secant lines
 of a point set, and both come from ``secant_lines``.
@@ -21,28 +27,19 @@ from math import isqrt
 
 from .errors import DomainError
 
+__all__ = ["Field", "field", "field_for_order", "hermitian_points", "pg_lines", "pg_points"]
+
 MAX_FIELD_ORDER = 1 << 16
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+MAX_POINTS = 1 << 17
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Factor q = p**f with p prime, or raise DomainError."""
+    """Factor q = p**f with p prime, or raise DomainError; q above MAX_FIELD_ORDER is refused."""
+    if q > MAX_FIELD_ORDER:
+        raise DomainError(f"{q} exceeds the field order cap {MAX_FIELD_ORDER}")
     if q < 2:
         raise DomainError(f"{q} is not a prime power")
+    # the least divisor above 1 is prime
     p = q
     for cand in range(2, isqrt(q) + 1):
         if q % cand == 0:
@@ -53,7 +50,7 @@ def prime_power(q: int) -> tuple[int, int]:
     while rest % p == 0:
         rest //= p
         f += 1
-    if rest != 1 or not is_prime(p):
+    if rest != 1:
         raise DomainError(f"{q} is not a prime power")
     return p, f
 
@@ -100,12 +97,14 @@ class Field:
     """Arithmetic table for GF(p^e) on elements encoded as 0 .. p^e - 1."""
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
+        if p < 2:
             raise DomainError(f"{p} is not prime")
         if e < 1:
             raise DomainError("extension degree must be positive")
         if e >= MAX_FIELD_ORDER.bit_length() or p**e > MAX_FIELD_ORDER:
             raise DomainError(f"field order {p}**{e} exceeds {MAX_FIELD_ORDER}")
+        if prime_power(p) != (p, 1):
+            raise DomainError(f"{p} is not prime")
         self.p = p
         self.e = e
         self.order = p**e
@@ -240,8 +239,14 @@ def proj_normalize(fld: Field, coords: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def pg_points(fld: Field, dim: int) -> list[tuple[int, ...]]:
-    """Points of PG(dim, q), lexicographically sorted normalized coordinates."""
+    """Points of PG(dim, q), lexicographically sorted normalized coordinates.
+
+    Raises DomainError, before listing any, when there are more than MAX_POINTS.
+    """
     q = fld.order
+    # PG(dim, q) has more than 2**dim points
+    if dim >= MAX_POINTS.bit_length() or num_pg_points(dim, q) > MAX_POINTS:
+        raise DomainError(f"PG({dim}, {q}) has more than {MAX_POINTS} points")
     pts = []
     for lead in range(dim + 1):
         for tail in product(range(q), repeat=dim - lead):
@@ -251,11 +256,21 @@ def pg_points(fld: Field, dim: int) -> list[tuple[int, ...]]:
 
 
 def line_points(fld: Field, u: tuple[int, ...], v: tuple[int, ...]):
-    """All q + 1 points on the line through distinct points u, v."""
-    pts = [proj_normalize(fld, v)]
+    """All q + 1 points on the line through distinct normalized points u, v, normalized.
+
+    With u the point that leads first, the direction d is v when v is 0 where
+    u leads, else v - u normalized; then every u + t*d leads with u's 1, so
+    the line costs one normalization.
+    """
+    if v > u:
+        u, v = v, u
+    lead = u.index(1)
+    if v[lead]:
+        neg = fld.p - 1
+        v = proj_normalize(fld, tuple(fld.add(b, fld.mul(neg, a)) for a, b in zip(u, v)))
+    pts = [v]
     for t in fld.elements:
-        w = tuple(fld.add(a, fld.mul(t, b)) for a, b in zip(u, v))
-        pts.append(proj_normalize(fld, w))
+        pts.append(tuple(fld.add(a, fld.mul(t, b)) for a, b in zip(u, v)))
     return pts
 
 
@@ -311,8 +326,6 @@ def pg_lines(dim: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, .
 def hermitian_points(q: int) -> list[tuple[int, ...]]:
     """Points of PG(2, q^2) with x0^(q+1) + x1^(q+1) + x2^(q+1) = 0."""
     p, f = prime_power(q)
-    if q * q > MAX_FIELD_ORDER:
-        raise DomainError(f"q**2 = {q * q} exceeds the field order cap")
     fld = field(p, 2 * f)
     m = q + 1
     sel = []

@@ -389,6 +389,41 @@ def test_max_ekr_size_returns_witness():
         assert is_maximal(best)
 
 
+@pytest.mark.parametrize("relabel", [False, True], ids=["given", "relabelled"])
+@pytest.mark.parametrize(
+    "make, arg", DIGEST_CORPUS, ids=[f"{make.__name__}-{arg}" for make, arg in DIGEST_CORPUS]
+)
+def test_max_ekr_size_matches_networkx(make, arg, relabel):
+    design = make(arg)
+    if relabel:
+        design = _relabelled(design, arg)
+    blocks = [set(bl) for bl in design.blocks]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(design.b))
+    graph.add_edges_from(
+        (i, j) for i, j in itertools.combinations(range(design.b), 2) if blocks[i] & blocks[j]
+    )
+    _, size = nx.algorithms.clique.max_weight_clique(graph, weight=None)
+    best = max_ekr_size(design)
+    assert len(best) == size
+    assert is_intersecting(best)
+
+
+# First 16 hex digits of the sha256 of the repr of the max_ekr_size witness
+# index tuples of DIGEST_CORPUS, each design given and then relabelled;
+# recorded before the search kept its families as bit vectors.
+WITNESS_DIGEST = "3efb497605a7ec9b"
+
+
+def test_max_ekr_size_witness_digest():
+    witnesses = []
+    for make, arg in DIGEST_CORPUS:
+        design = make(arg)
+        for d in (design, _relabelled(design, arg)):
+            witnesses.append(max_ekr_size(d).indices())
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16] == WITNESS_DIGEST
+
+
 def test_plane_of_order_32_needs_no_deep_recursion():
     # 1,057 pairwise intersecting lines: one family, deeper than the recursion limit
     design = se.projective_plane(32)

@@ -1,14 +1,16 @@
 """Finite fields and projective geometry over them."""
 
+import time
+
 import pytest
 
 from steiner_ekr.errors import DomainError
 from steiner_ekr.geometry import (
     MAX_FIELD_ORDER,
+    MAX_POINTS,
     field,
     field_for_order,
     hermitian_points,
-    is_prime,
     line_points,
     num_pg_lines,
     num_pg_points,
@@ -19,9 +21,14 @@ from steiner_ekr.geometry import (
 )
 
 
-def test_is_prime_small():
-    primes = [n for n in range(60) if is_prime(n)]
-    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+def test_prime_fields_below_60():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    for n in range(60):
+        if n in primes:
+            assert field(n).order == n
+        else:
+            with pytest.raises(DomainError):
+                field(n)
 
 
 def test_prime_power_decomposition():
@@ -41,6 +48,33 @@ def test_field_order_cap():
     # refused from the degree alone, before p**e is worked out
     with pytest.raises(DomainError):
         field(2, 10**12)
+
+
+LARGE_INPUTS = {
+    # a prime far above the field cap: refused before any trial division
+    "field": lambda: field(2**61 - 1),
+    "field_for_order": lambda: field_for_order(2**61 - 1),
+    "prime_power": lambda: prime_power(2**61 - 1),
+    "hermitian_points": lambda: hermitian_points(2**61 - 1),
+    # PG(2, 4096), PG(40, 2) and beyond: refused before their points are listed
+    "hermitian_points-64": lambda: hermitian_points(64),
+    "pg_points": lambda: pg_points(field(2), 40),
+    "pg_lines": lambda: pg_lines(40, 2),
+    "pg_points-huge-dim": lambda: pg_points(field(2), 10**12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_INPUTS))
+def test_large_inputs_are_refused_at_once(name):
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        LARGE_INPUTS[name]()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_point_cap_admits_the_plane_over_gf256():
+    assert num_pg_points(2, 256) <= MAX_POINTS < num_pg_points(2, 4096)
+    assert num_pg_points(16, 2) <= MAX_POINTS < num_pg_points(17, 2)
 
 
 def test_gf2_tables():
@@ -146,8 +180,9 @@ def test_line_points_is_closed_under_span():
     ln = line_points(f, pts[0], pts[1])
     assert len(ln) == 4
     assert pts[0] in ln and pts[1] in ln
-    # any two points of the line span it again
+    # any two points of the line span it again, in either order
     assert set(line_points(f, ln[2], ln[3])) == set(ln)
+    assert set(line_points(f, ln[3], ln[2])) == set(ln)
 
 
 def test_secant_lines_keep_lines_through_two_or_more_points():

@@ -1,6 +1,9 @@
 """The package's public surface: every exported name resolves."""
 
 import steiner_ekr
+from steiner_ekr import bounds, canon, designs, ekr, errors, exactnum, geometry
+
+LAYERS = (bounds, canon, designs, ekr, errors, exactnum, geometry)
 
 
 def test_star_import_resolves_every_exported_name():
@@ -10,3 +13,13 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(names)) == len(names)
     for name in names:
         assert namespace[name] is getattr(steiner_ekr, name)
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    for mod in LAYERS:
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+            assert getattr(steiner_ekr, name) is getattr(mod, name)
+    union = [name for mod in LAYERS for name in mod.__all__]
+    assert len(set(union)) == len(union)
+    assert sorted(steiner_ekr.__all__) == sorted(union)
