@@ -338,10 +338,12 @@ def _cmd_table(parser, table: dict, choice: str):
         if missing:
             parser.error(f"{choice} '{name}' needs {' '.join('--' + n for n in missing)}")
         try:
-            payload = build(args)
+            return _emit(args.format, build(args))
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
-        return _emit(args.format, payload)
+        except ValueError as exc:
+            # str() refuses an int of more than sys.get_int_max_str_digits() digits
+            raise DomainError(f"{choice} '{name}': {exc}") from None
 
     return run
 

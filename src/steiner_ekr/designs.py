@@ -6,8 +6,10 @@ construction: a ``Design`` instance that exists has passed the pair axiom.
 
 Incidence is kept only as bitmasks, each built from the block list: per
 block its points, per point the blocks through it, and per block the other
-blocks it meets.  Every geometric builtin is the secant-line design of a
-point set, built by ``geometry.secant_lines``.
+blocks it meets, so memory grows as b^2.  A builtin constructor or a design
+file with more than ``MAX_BLOCKS`` blocks is refused before any block is
+built or read.  Every geometric builtin is the secant-line design of a point
+set, built by ``geometry.secant_lines`` from the lines of a projective space.
 """
 
 from __future__ import annotations
@@ -158,11 +160,11 @@ class Design:
 
 # -- constructors ---------------------------------------------------------
 
-# Most blocks a builtin constructor builds.  By Fisher's inequality v <= b, so
-# the v(v-1)/2 point pairs checked at construction and the b x b intersection
-# adjacency both grow at most as b^2; projective:43 (1,893 blocks), the
-# largest plane below the cap, builds with its adjacency in about 0.5 s in a
-# 24 MB process.
+# Most blocks a builtin constructor builds or a design file declares.  By
+# Fisher's inequality v <= b, so the v(v-1)/2 point pairs checked at
+# construction and the b x b intersection adjacency both grow at most as b^2;
+# projective:43 (1,893 blocks), the largest plane below the cap, builds with
+# its adjacency in about 0.25 s in a 23 MB process.
 MAX_BLOCKS = 2000
 
 
@@ -260,14 +262,17 @@ def load_design(path, name: str | None = None) -> Design:
     """Parse and validate the text format produced by save_design.
 
     Lines starting with '#' and blank lines are skipped.  The first payload
-    line must be "v k"; exactly b = v(v-1)/(k(k-1)) block lines must follow,
-    each k strictly increasing point indices.
+    line must be "v k", with b = v(v-1)/(k(k-1)) at most MAX_BLOCKS; exactly
+    b block lines must follow, each k strictly increasing point indices.
     """
-    if hasattr(path, "read"):
-        raw = path.read()
-    else:
-        with open(path) as fh:
-            raw = fh.read()
+    try:
+        if hasattr(path, "read"):
+            raw = path.read()
+        else:
+            with open(path) as fh:
+                raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, f"not a text file: {exc.reason} at byte {exc.start}") from None
     header: tuple[int, int] | None = None
     blocks: list[tuple[int, ...]] = []
     expected = None
@@ -289,6 +294,8 @@ def load_design(path, name: str | None = None) -> Design:
                 raise ParseError(line_no, f"no 2-({v},{k},1) design has these parameters")
             header = (v, k)
             expected = v * (v - 1) // (k * (k - 1))
+            if expected > MAX_BLOCKS:
+                raise ParseError(line_no, f"b={expected} blocks, more than the {MAX_BLOCKS} allowed")
             continue
         v, k = header
         if len(blocks) >= expected:

@@ -4,7 +4,8 @@ Two caps keep every construction small.  Fields GF(p^e) have at most
 ``MAX_FIELD_ORDER`` = 2**16 elements, and ``prime_power`` refuses a q above
 that cap before it factors, so no trial division runs on a larger number.  A
 projective space has at most ``MAX_POINTS`` = 2**17 points: ``pg_points``
-refuses a larger one before listing it.
+refuses a larger one before listing it, and its lines are listed only when
+they hold at most ``MAX_POINTS`` line-point incidences.
 
 Field elements use a dense integer encoding: the element with base-p digits
 (c0, c1, ...) is sum(ci * p**i), so 0 and 1 are the additive and
@@ -16,14 +17,14 @@ search, which keeps every construction reproducible across runs and
 platforms.
 
 Lines of PG(d, q) and the blocks of a Hermitian unital are both secant lines
-of a point set, and both come from ``secant_lines``.
+of a point set, and both come from ``secant_lines``, which cuts each line of
+the space down to the set.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import isqrt
 
 from .errors import DomainError
 
@@ -33,25 +34,28 @@ MAX_FIELD_ORDER = 1 << 16
 MAX_POINTS = 1 << 17
 
 
+def _factor(n: int) -> dict[int, int]:
+    """The prime factorization of n as {p: multiplicity}, by trial division; {} for n < 2."""
+    out = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """Factor q = p**f with p prime, or raise DomainError; q above MAX_FIELD_ORDER is refused."""
     if q > MAX_FIELD_ORDER:
         raise DomainError(f"{q} exceeds the field order cap {MAX_FIELD_ORDER}")
-    if q < 2:
+    factors = _factor(q)
+    if len(factors) != 1:
         raise DomainError(f"{q} is not a prime power")
-    # the least divisor above 1 is prime
-    p = q
-    for cand in range(2, isqrt(q) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    f = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    if rest != 1:
-        raise DomainError(f"{q} is not a prime power")
+    [(p, f)] = factors.items()
     return p, f
 
 
@@ -97,13 +101,11 @@ class Field:
     """Arithmetic table for GF(p^e) on elements encoded as 0 .. p^e - 1."""
 
     def __init__(self, p: int, e: int = 1):
-        if p < 2:
-            raise DomainError(f"{p} is not prime")
         if e < 1:
             raise DomainError("extension degree must be positive")
         if e >= MAX_FIELD_ORDER.bit_length() or p**e > MAX_FIELD_ORDER:
             raise DomainError(f"field order {p}**{e} exceeds {MAX_FIELD_ORDER}")
-        if prime_power(p) != (p, 1):
+        if _factor(p) != {p: 1}:
             raise DomainError(f"{p} is not prime")
         self.p = p
         self.e = e
@@ -150,17 +152,7 @@ class Field:
 
     def _build_tables(self):
         q = self.order
-        # prime factors of the multiplicative group order
-        n = q - 1
-        factors = set()
-        f = 2
-        while f * f <= n:
-            while n % f == 0:
-                factors.add(f)
-                n //= f
-            f += 1
-        if n > 1:
-            factors.add(n)
+        factors = _factor(q - 1)
         # the modulus is irreducible, so a generator exists; GF(2)'s is 1
         gens = (g for g in range(2, q) if all(self._pow_raw(g, (q - 1) // ell) != 1 for ell in factors))
         gen = self.generator = next(gens, 1)
@@ -227,17 +219,6 @@ def field_for_order(q: int) -> Field:
 # -- projective geometry ------------------------------------------------
 
 
-def proj_normalize(fld: Field, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Scale homogeneous coordinates so the first nonzero entry is 1."""
-    for c in coords:
-        if c:
-            if c == 1:
-                return tuple(coords)
-            s = fld.inv(c)
-            return tuple(fld.mul(s, x) for x in coords)
-    raise DomainError("zero vector has no projective point")
-
-
 def pg_points(fld: Field, dim: int) -> list[tuple[int, ...]]:
     """Points of PG(dim, q), lexicographically sorted normalized coordinates.
 
@@ -255,25 +236,6 @@ def pg_points(fld: Field, dim: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def line_points(fld: Field, u: tuple[int, ...], v: tuple[int, ...]):
-    """All q + 1 points on the line through distinct normalized points u, v, normalized.
-
-    With u the point that leads first, the direction d is v when v is 0 where
-    u leads, else v - u normalized; then every u + t*d leads with u's 1, so
-    the line costs one normalization.
-    """
-    if v > u:
-        u, v = v, u
-    lead = u.index(1)
-    if v[lead]:
-        neg = fld.p - 1
-        v = proj_normalize(fld, tuple(fld.add(b, fld.mul(neg, a)) for a, b in zip(u, v)))
-    pts = [v]
-    for t in fld.elements:
-        pts.append(tuple(fld.add(a, fld.mul(t, b)) for a, b in zip(u, v)))
-    return pts
-
-
 def num_pg_points(dim: int, q: int) -> int:
     return (q ** (dim + 1) - 1) // (q - 1)
 
@@ -282,29 +244,42 @@ def num_pg_lines(dim: int, q: int) -> int:
     return ((q ** (dim + 1) - 1) * (q**dim - 1)) // ((q * q - 1) * (q - 1))
 
 
-def secant_lines(fld: Field, pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every line through two or more of pts, as the sorted indices of pts on it.
+def _lines(fld: Field, dim: int):
+    """Every line of PG(dim, q) once, as the list of its q + 1 normalized points.
 
-    pts are normalized points of one projective space over fld.  The pairs
-    already on a line are one bitmask per point, so each line is spanned once,
-    from its two least points; the lines therefore come out sorted.
+    A line has one reduced echelon basis: v leads with its 1 at j, and u leads
+    with its 1 at i < j and is 0 at j.  Its points v and u + t*v, t in GF(q),
+    then lead with a 1 as they stand.  Raises DomainError, before listing any,
+    when the lines hold more than MAX_POINTS line-point incidences.
+    """
+    q = fld.order
+    if num_pg_lines(dim, q) * (q + 1) > MAX_POINTS:
+        raise DomainError(f"the lines of PG({dim}, {q}) hold more than {MAX_POINTS} points")
+    els = fld.elements
+    for j in range(1, dim + 1):
+        for vtail in product(els, repeat=dim - j):
+            v = (0,) * j + (1, *vtail)
+            # u + t*v is u's head before j and t at j; only its tail takes arithmetic
+            tvtails = [[fld.mul(t, c) for c in vtail] for t in els]
+            for i in range(j):
+                for mid in product(els, repeat=j - i - 1):
+                    head = (0,) * i + (1, *mid)
+                    for utail in product(els, repeat=dim - j):
+                        yield [v] + [(*head, t, *map(fld.add, utail, tv)) for t, tv in zip(els, tvtails)]
+
+
+def secant_lines(fld: Field, pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every line through two or more of pts, as the sorted indices of pts on it, sorted.
+
+    pts are normalized points of one projective space over fld.
     """
     index = {pt: i for i, pt in enumerate(pts)}
-    n = len(pts)
-    covered = [0] * n
     lines = []
-    for i in range(n):
-        todo = ((1 << n) - 1) >> (i + 1) << (i + 1) & ~covered[i]
-        while todo:
-            j = (todo & -todo).bit_length() - 1
-            line = tuple(sorted({index[w] for w in line_points(fld, pts[i], pts[j]) if w in index}))
-            on = 0
-            for a in line:
-                on |= 1 << a
-            for a in line:
-                covered[a] |= on
-            todo &= ~on
-            lines.append(line)
+    for line in _lines(fld, len(pts[0]) - 1):
+        on = sorted(index[pt] for pt in line if pt in index)
+        if len(on) > 1:
+            lines.append(tuple(on))
+    lines.sort()
     return lines
 
 

@@ -400,6 +400,31 @@ def test_corrupt_file_exits_one(capsys, tmp_path):
     assert code == 1 and "error: " in err
 
 
+def test_binary_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"7 3\n\xd0\xff\x00\n")
+    code, out, err = run(capsys, "validate", "--design", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--formula", "pencil-uniqueness", "--v", "5"],
+        ["--formula", "discriminant", "--excess", "5"],
+        ["--formula", "counting", "--r", "5", "--excess", "1", "--format", "json"],
+    ],
+)
+def test_result_past_the_digit_limit_exits_one(capsys, argv):
+    code, out, err = run(capsys, "bound", "--k", "1" + "0" * 2000, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: formula ") and err.count("\n") == 1
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run(
         capsys, "bound", "--formula", "counting", "--k", "2", "--r", "3", "--excess", "0"

@@ -134,6 +134,10 @@ def test_load_skips_comments_and_blanks():
         ("7 3\n0 1 2\n0 3\n", 3),
         ("7 3\n0 1 2\n0 4 3\n", 3),
         ("", 0),
+        # b above MAX_BLOCKS is refused at the header: AG(2, 317) and K_64
+        ("100489 317\n", 1),
+        ("64 2\n", 1),
+        ("63 2\n", 0),                     # K_63 has 1,953 blocks: the count is checked
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):

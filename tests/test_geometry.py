@@ -11,7 +11,6 @@ from steiner_ekr.geometry import (
     field,
     field_for_order,
     hermitian_points,
-    line_points,
     num_pg_lines,
     num_pg_points,
     pg_lines,
@@ -61,6 +60,11 @@ LARGE_INPUTS = {
     "pg_points": lambda: pg_points(field(2), 40),
     "pg_lines": lambda: pg_lines(40, 2),
     "pg_points-huge-dim": lambda: pg_points(field(2), 10**12),
+    # under the point cap, but their lines hold more than MAX_POINTS incidences
+    "pg_lines-2-128": lambda: pg_lines(2, 128),
+    "pg_lines-2-256": lambda: pg_lines(2, 256),
+    "pg_lines-3-32": lambda: pg_lines(3, 32),
+    "pg_lines-16-2": lambda: pg_lines(16, 2),
 }
 
 
@@ -75,6 +79,13 @@ def test_large_inputs_are_refused_at_once(name):
 def test_point_cap_admits_the_plane_over_gf256():
     assert num_pg_points(2, 256) <= MAX_POINTS < num_pg_points(2, 4096)
     assert num_pg_points(16, 2) <= MAX_POINTS < num_pg_points(17, 2)
+
+
+def test_incidence_cap_admits_the_planes_up_to_gf49():
+    assert num_pg_lines(2, 49) * 50 <= MAX_POINTS < num_pg_lines(2, 64) * 65
+    for q in (43, 49):
+        points, lines = pg_lines(2, q)
+        assert len(lines) == len(points) == num_pg_points(2, q)
 
 
 def test_gf2_tables():
@@ -142,6 +153,17 @@ def test_default_modulus_is_least_from_the_top():
     assert field(5, 1).modulus == (0, 1)
 
 
+# Generators the table construction picks, pinned so that a change to the
+# factoring or the search cannot move them: every log and exp table follows
+# from the generator and the modulus.
+FORMER_GENERATORS = {(2, 8): 3, (43, 1): 3, (5, 2): 6, (19, 2): 22, (251, 2): 256, (65521, 1): 17}
+
+
+@pytest.mark.parametrize("pe", sorted(FORMER_GENERATORS))
+def test_generator_keeps_the_former_choice(pe):
+    assert field(*pe).generator == FORMER_GENERATORS[pe]
+
+
 def test_field_edge_operations():
     f = field_for_order(9)
     assert f.pow(0, 0) == 1
@@ -174,15 +196,39 @@ def test_every_point_pair_on_one_line():
     assert len(seen) == n * (n - 1) // 2
 
 
-def test_line_points_is_closed_under_span():
-    f = field_for_order(3)
-    pts = pg_points(f, 2)
-    ln = line_points(f, pts[0], pts[1])
-    assert len(ln) == 4
-    assert pts[0] in ln and pts[1] in ln
-    # any two points of the line span it again, in either order
-    assert set(line_points(f, ln[2], ln[3])) == set(ln)
-    assert set(line_points(f, ln[3], ln[2])) == set(ln)
+def _spanned_lines(f, pts):
+    """Brute force: the closure of every pair of pts in PG over f, cut down to pts.
+
+    The closure of a, b is a together with b + t*a for each t, each scaled so
+    its first nonzero entry is 1.
+    """
+    index = {pt: i for i, pt in enumerate(pts)}
+    lines = set()
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            span = {a}
+            for t in f.elements:
+                w = [f.add(y, f.mul(t, x)) for x, y in zip(a, b)]
+                s = f.inv(next(c for c in w if c))
+                span.add(tuple(f.mul(s, c) for c in w))
+            lines.add(tuple(sorted(index[w] for w in span if w in index)))
+    return sorted(lines)
+
+
+PG_SPACES = [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2), (3, 3), (3, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("dim,q", PG_SPACES)
+def test_pg_lines_are_the_spans_of_point_pairs(dim, q):
+    points, lines = pg_lines(dim, q)
+    assert lines == _spanned_lines(field_for_order(q), points)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_unital_secants_are_the_spans_of_curve_point_pairs(q):
+    f = field_for_order(q * q)
+    curve = hermitian_points(q)
+    assert secant_lines(f, curve) == _spanned_lines(f, curve)
 
 
 def test_secant_lines_keep_lines_through_two_or_more_points():
