@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError
 from .exactnum import (
-    Rational,
     SurdExpr,
     cmp_surd,
     _floor_from_sign,
@@ -52,12 +51,6 @@ __all__ = [
     "unital_counting_bound",
     "unital_second_max_bound",
 ]
-
-# Largest deficit per block size for which the counting bound stays below the
-# pencil size over the whole admissible excess grid; certified by
-# sweep_deficit_grid and equal to deficit_cap(k) for every entry.
-DEFICIT_CAPS = {4: 1, 5: 2, 6: 3, 7: 4, 8: 4, 9: 5, 10: 6, 11: 7, 12: 8, 13: 9}
-
 
 def _frac_str(x) -> str:
     x = Fraction(x)
@@ -217,7 +210,7 @@ def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
     return _counting("counting-deficit", inputs, k, deficit, excess)
 
 
-def cover_range_submax(k: int, shortfall: int) -> tuple[Rational, Rational]:
+def cover_range_submax(k: int, shortfall: int) -> tuple[Fraction, Fraction]:
     """Covered-point interval when the top multiplicity is k-1.
 
     shortfall is a' = (k-1)^2 - |family|.  The right endpoint has a pole at
@@ -279,7 +272,8 @@ def certify_moment_inequality(
     Enumerates every nonnegative (n_1..n_l) satisfying the two equality
     constraints (first and second factorial moments fixed by l, a, b, r) and
     checks sum (i-1) n_i <= C(b,2) + (a+2b-2) C(l+1,2) on each.  The
-    hypothesis window for a is checked exactly before searching.
+    hypothesis window for a is checked exactly before searching; its lower
+    edges lo1 and lo2 are sum_i >= 0 and sum_ii >= 0.
     """
     if l < 2:
         raise DomainError("moment certificate needs l at least 2")
@@ -299,9 +293,6 @@ def certify_moment_inequality(
     s2 = b * (b - 1) + l * (l + 1) * (a + 2 * b - 2)
     rhs = Fraction(b * (b - 1), 2) + Fraction((a + 2 * b - 2) * l * (l + 1), 2)
     ranges = {"l": l, "a": a, "b": b, "r": r, "sum_i": s1, "sum_ii": s2}
-    if s1 < 0 or s2 < 0:
-        return SweepCertificate("moments", ranges, 0)
-
     # n_i is 0 wherever i(i-1) > s2, so only the first `width` counts can move
     width = min(l, max(2, (math.isqrt(4 * s2 + 1) + 1) // 2))
     failures: list[tuple] = []
@@ -365,13 +356,19 @@ def deficit_cap(k: int) -> int:
     return surd_floor(SurdExpr(k - 1, Fraction(-3, 4), k))
 
 
+# Largest deficit per block size for which the counting bound stays below the
+# pencil size over the whole admissible excess grid; sweep_deficit_grid
+# certifies each entry and its sharpness.
+DEFICIT_CAPS = {k: deficit_cap(k) for k in range(4, 14)}
+
+
 def sweep_deficit_grid(k) -> SweepCertificate:
     """Certify the counting bound stays under the pencil size across the deficit grid.
 
-    For each deficit R up to the cap and each admissible excess b, checks
-    counting_bound_deficit(k, R, b) < (k-1)^2 - R strictly.  Also certifies the
-    cap is sharp: at R = cap+1 some b must break the inequality.  Pass k="all"
-    for the combined certificate over every tabulated k.
+    For each deficit R up to the cap deficit_cap(k) and each admissible excess
+    b, checks counting_bound_deficit(k, R, b) < (k-1)^2 - R strictly.  Also
+    certifies the cap is sharp: at R = cap+1 some b must break the inequality.
+    Pass k="all" for the combined certificate over every k in DEFICIT_CAPS.
     """
     if k == "all":
         failures: list[tuple] = []
@@ -386,8 +383,6 @@ def sweep_deficit_grid(k) -> SweepCertificate:
     if k not in DEFICIT_CAPS:
         raise DomainError(f"no tabulated deficit cap for k={k}")
     cap = DEFICIT_CAPS[k]
-    if cap != deficit_cap(k):
-        raise DomainError(f"tabulated cap for k={k} disagrees with the closed form")
     failures = []
     cases = 0
 
@@ -402,13 +397,11 @@ def sweep_deficit_grid(k) -> SweepCertificate:
                 failures.append(("bound", k, R, b))
     # sharpness: one deficit past the cap, some admissible excess must fail
     R = cap + 1
-    broke = False
     for b in range(excess_top(R) + 1):
         cases += 1
         if counting_bound_deficit(k, R, b).value >= (k - 1) ** 2 - R:
-            broke = True
             break
-    if not broke:
+    else:
         failures.append(("sharpness", k, R))
     return SweepCertificate(
         "deficit-grid", {"k": k, "deficit_cap": cap}, cases, tuple(failures)
@@ -422,6 +415,11 @@ def discriminant(b: int, k: int) -> int:
     """(k^3 - 3k^2 - 2bk + 6k - 2)^2 - 8k(k-1)(b-1)(b-2)."""
     lead = k ** 3 - 3 * k * k - 2 * b * k + 6 * k - 2
     return lead * lead - 8 * k * (k - 1) * (b - 1) * (b - 2)
+
+
+def _window_edge(k: int, c: int) -> SurdExpr:
+    """(1 - c + sqrt((c-1)^2 + 4c(k-1))) / 2, the lower edge of I_c for c >= 1."""
+    return SurdExpr(Fraction(1 - c, 2), Fraction(1, 2), (c - 1) ** 2 + 4 * c * (k - 1))
 
 
 def _axis_limit(k: int) -> SurdExpr:
@@ -439,12 +437,12 @@ def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
     """Exact surd verification of the two large-k inequalities over k in [14, k_max].
 
     For each sampled c (within 1..C_k, checked exactly) and b in {0, c}:
-      (k^3 - 7k^2 + 10k - 2bk - 2 - sqrt(D(b,k))) / (4(k-1))
-          < (1 - c + sqrt((c-1)^2 + 4c(k-1))) / 2
-    and, once per k, the b = 0 left side is negative.  A negative discriminant
-    is recorded as a failure since the square root leaves the rationals.
-    The c grid is a deterministic sample; the continuous range is covered by
-    the underlying analytic argument, not by this sweep.  Each k costs seven
+      (k^3 - 7k^2 + 10k - 2bk - 2 - sqrt(D(b,k))) / (4(k-1)) < lo(I_c),
+    the lower edge of the deficit window I_c, and, once per k, the b = 0 left
+    side is negative.  A negative discriminant is recorded as a failure since
+    the square root leaves the rationals.  The c grid is a deterministic
+    sample; the continuous range is covered by the underlying analytic
+    argument, not by this sweep.  Each k costs seven
     cases (three c, two b each, one b = 0 check), so a sweep of more than
     budget cases raises BudgetExceeded before it starts.
     """
@@ -462,7 +460,7 @@ def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
             if c < 1 or cmp_surd(SurdExpr.rational(c), limit) > 0:
                 failures.append(("c-range", k, c))
                 continue
-            rhs = SurdExpr(Fraction(1 - c, 2), Fraction(1, 2), (c - 1) ** 2 + 4 * c * (k - 1))
+            rhs = _window_edge(k, c)
             for b in (0, c):
                 cases += 1
                 disc = discriminant(b, k)
@@ -487,9 +485,9 @@ def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
 
 
 def deficit_interval(k: int, c: int) -> tuple[SurdExpr, SurdExpr]:
-    """The half-open deficit window I_c; I_0 = [0, sqrt(k-1)).
+    """The half-open deficit window I_c = [e(c), e(c+1)); I_0 = [0, sqrt(k-1)).
 
-    Consecutive windows abut exactly: hi(I_c) equals lo(I_{c+1}) as surds.
+    e(c) = (1 - c + sqrt((c-1)^2 + 4c(k-1))) / 2, so consecutive windows abut exactly.
     """
     if k < 14:
         raise DomainError("deficit windows are set up for k at least 14")
@@ -497,9 +495,7 @@ def deficit_interval(k: int, c: int) -> tuple[SurdExpr, SurdExpr]:
         raise DomainError("window index must be nonnegative")
     if c == 0:
         return SurdExpr.rational(0), SurdExpr(0, 1, k - 1)
-    lo = SurdExpr(Fraction(1 - c, 2), Fraction(1, 2), (c - 1) ** 2 + 4 * c * (k - 1))
-    hi = SurdExpr(Fraction(-c, 2), Fraction(1, 2), c * c + 4 * (c + 1) * (k - 1))
-    return lo, hi
+    return _window_edge(k, c), _window_edge(k, c + 1)
 
 
 def locate_deficit_interval(k: int, deficit: int) -> int | None:

@@ -210,8 +210,6 @@ def hermitian_unital(q: int) -> Design:
 def complete_graph(v: int) -> Design:
     """Edge set of K_v as a 2-(v, 2, 1) design."""
     _check_block_count("kgraph", v, v * (v - 1) // 2)
-    if v < 3:
-        raise ParameterMismatch("need at least 3 vertices")
     blocks = [(i, j) for i in range(v) for j in range(i + 1, v)]
     return Design(v, 2, blocks, name=f"kgraph:{v}")
 
@@ -258,7 +256,7 @@ def save_design(design: Design, path) -> None:
             fh.write(text)
 
 
-def load_design(path, name: str | None = None) -> Design:
+def load_design(path) -> Design:
     """Parse and validate the text format produced by save_design.
 
     Lines starting with '#' and blank lines are skipped.  The first payload
@@ -315,5 +313,5 @@ def load_design(path, name: str | None = None) -> Design:
         raise ParseError(0, "empty design file")
     if len(blocks) != expected:
         raise ParseError(0, f"expected b={expected} blocks, found {len(blocks)}")
-    return Design(header[0], header[1], blocks, name=name)
+    return Design(header[0], header[1], blocks)
 

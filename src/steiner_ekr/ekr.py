@@ -320,16 +320,14 @@ def enumerate_maximal_ekr(
     return [BlockSet(design, m) for m in out.kept]
 
 
-def maximal_family_sizes(
-    design: Design, min_size: int = 1, workers: int = 1
-) -> dict[int, int]:
+def maximal_family_sizes(design: Design, workers: int = 1) -> dict[int, int]:
     """Size histogram of the maximal families, largest size first.
 
     The families are enumerated into a list first, so memory grows with
     their number.  workers is accepted and ignored.
     """
     sizes: dict[int, int] = {}
-    for fam in enumerate_maximal_ekr(design, min_size=min_size):
+    for fam in enumerate_maximal_ekr(design):
         sizes[len(fam)] = sizes.get(len(fam), 0) + 1
     return dict(sorted(sizes.items(), reverse=True))
 
@@ -446,7 +444,7 @@ def classify(design: Design, families) -> list[tuple[EkrType, int]]:
     return [(etype, count) for etype, count, _ in _group(families)]
 
 
-def classification_report(design: Design, families, source: str | None = None) -> dict:
+def classification_report(design: Design, families, source: str) -> dict:
     """JSON-ready classification summary with one witness family per type."""
     types = []
     for etype, count, witness in _group(families):
@@ -465,7 +463,7 @@ def classification_report(design: Design, families, source: str | None = None) -
         )
     return {
         "design": {
-            "source": source or design.name or "",
+            "source": source,
             "v": design.v,
             "k": design.k,
             "b": design.b,

@@ -18,7 +18,6 @@ __all__ = [
     "EQUAL",
     "GREATER",
     "LESS",
-    "Rational",
     "RootBracket",
     "SurdExpr",
     "cbrt_quadratic_sign",
@@ -27,8 +26,6 @@ __all__ = [
     "surd_floor",
     "surd_sign",
 ]
-
-Rational = Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1
 

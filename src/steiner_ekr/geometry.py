@@ -5,7 +5,8 @@ Two caps keep every construction small.  Fields GF(p^e) have at most
 that cap before it factors, so no trial division runs on a larger number.  A
 projective space has at most ``MAX_POINTS`` = 2**17 points: ``pg_points``
 refuses a larger one before listing it, and its lines are listed only when
-they hold at most ``MAX_POINTS`` line-point incidences.
+they hold at most ``MAX_POINTS`` line-point incidences, which ``pg_lines``
+checks before it lists the points.
 
 Field elements use a dense integer encoding: the element with base-p digits
 (c0, c1, ...) is sum(ci * p**i), so 0 and 1 are the additive and
@@ -244,17 +245,20 @@ def num_pg_lines(dim: int, q: int) -> int:
     return ((q ** (dim + 1) - 1) * (q**dim - 1)) // ((q * q - 1) * (q - 1))
 
 
+def _check_line_incidences(dim: int, q: int) -> None:
+    """Refuse PG(dim, q) if its lines hold over MAX_POINTS incidences, as at any dim >= 17."""
+    if dim >= MAX_POINTS.bit_length() or num_pg_lines(dim, q) * (q + 1) > MAX_POINTS:
+        raise DomainError(f"the lines of PG({dim}, {q}) hold more than {MAX_POINTS} points")
+
+
 def _lines(fld: Field, dim: int):
     """Every line of PG(dim, q) once, as the list of its q + 1 normalized points.
 
     A line has one reduced echelon basis: v leads with its 1 at j, and u leads
     with its 1 at i < j and is 0 at j.  Its points v and u + t*v, t in GF(q),
-    then lead with a 1 as they stand.  Raises DomainError, before listing any,
-    when the lines hold more than MAX_POINTS line-point incidences.
+    then lead with a 1 as they stand.  Callers check _check_line_incidences
+    before listing any line.
     """
-    q = fld.order
-    if num_pg_lines(dim, q) * (q + 1) > MAX_POINTS:
-        raise DomainError(f"the lines of PG({dim}, {q}) hold more than {MAX_POINTS} points")
     els = fld.elements
     for j in range(1, dim + 1):
         for vtail in product(els, repeat=dim - j):
@@ -273,9 +277,11 @@ def secant_lines(fld: Field, pts: list[tuple[int, ...]]) -> list[tuple[int, ...]
 
     pts are normalized points of one projective space over fld.
     """
+    dim = len(pts[0]) - 1
+    _check_line_incidences(dim, fld.order)
     index = {pt: i for i, pt in enumerate(pts)}
     lines = []
-    for line in _lines(fld, len(pts[0]) - 1):
+    for line in _lines(fld, dim):
         on = sorted(index[pt] for pt in line if pt in index)
         if len(on) > 1:
             lines.append(tuple(on))
@@ -288,6 +294,7 @@ def pg_lines(dim: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, .
     if dim < 2:
         raise DomainError("need dimension at least 2")
     fld = field_for_order(q)
+    _check_line_incidences(dim, q)
     pts = pg_points(fld, dim)
     lines = secant_lines(fld, pts)
     if len(pts) != num_pg_points(dim, q) or len(lines) != num_pg_lines(dim, q):

@@ -326,8 +326,8 @@ def test_moment_certificate_matches_the_search_over_all_l_counts():
                     except (DomainError, BudgetExceeded):
                         continue
                     s1, s2 = cert.ranges["sum_i"], cert.ranges["sum_ii"]
-                    if s1 < 0 or s2 < 0:
-                        continue
+                    # the window's lower edges lo1 and lo2 are sum_i >= 0 and sum_ii >= 0
+                    assert s1 >= 0 and s2 >= 0, (l, a, b, r)
                     rhs = F(b * (b - 1), 2) + F((a + 2 * b - 2) * l * (l + 1), 2)
                     full = [(tuple(ns[1:]), lhs) for ns, lhs in _count_vectors(l, s1, s2)]
                     assert cert.total_cases == len(full), (l, a, b, r)
@@ -409,8 +409,8 @@ def test_pencil_uniqueness_threshold():
 
 
 def test_deficit_caps_match_closed_form():
-    for k, cap in DEFICIT_CAPS.items():
-        assert deficit_cap(k) == cap
+    # DEFICIT_CAPS is built from deficit_cap; the literal table is the reference
+    assert DEFICIT_CAPS == {4: 1, 5: 2, 6: 3, 7: 4, 8: 4, 9: 5, 10: 6, 11: 7, 12: 8, 13: 9}
     assert deficit_cap(14) == 10
     assert deficit_cap(50) == 43
 

@@ -133,6 +133,9 @@ def test_load_skips_comments_and_blanks():
         ("7 3\n0 1 2\n0 x 4\n", 3),
         ("7 3\n0 1 2\n0 3\n", 3),
         ("7 3\n0 1 2\n0 4 3\n", 3),
+        ("7 3\n0 1 7\n", 2),                # point outside 0..v-1
+        ("3 5\n", 1),                      # not v > k
+        ("3 2\n0 1\n0 2\n1 2\n0 1\n", 5),  # one block line past b = 3
         ("", 0),
         # b above MAX_BLOCKS is refused at the header: AG(2, 317) and K_64
         ("100489 317\n", 1),
@@ -144,6 +147,13 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(ParseError) as exc:
         load_design(io.StringIO(text))
     assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize("v", [2, 1, 0])
+def test_complete_graph_needs_v_above_two(v):
+    # Design's own v > k check refuses K_2, K_1 and K_0
+    with pytest.raises(ParameterMismatch, match=f"need v > k > 1, got v={v} k=2"):
+        se.complete_graph(v)
 
 
 def test_parse_wrong_block_count():

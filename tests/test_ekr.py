@@ -168,6 +168,8 @@ def test_triangle_structure():
         triangle(d, d.blocks[blk][0], blk)
     with pytest.raises(DomainError):
         triangle(d, -1, blk)
+    with pytest.raises(DomainError, match="block index"):
+        triangle(d, external, d.b)
 
 
 def test_maximality_predicates():

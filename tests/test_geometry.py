@@ -4,10 +4,12 @@ import time
 
 import pytest
 
+from steiner_ekr import geometry
 from steiner_ekr.errors import DomainError
 from steiner_ekr.geometry import (
     MAX_FIELD_ORDER,
     MAX_POINTS,
+    Field,
     field,
     field_for_order,
     hermitian_points,
@@ -47,6 +49,8 @@ def test_field_order_cap():
     # refused from the degree alone, before p**e is worked out
     with pytest.raises(DomainError):
         field(2, 10**12)
+    with pytest.raises(DomainError, match="extension degree"):
+        Field(2, 0)
 
 
 LARGE_INPUTS = {
@@ -74,6 +78,23 @@ def test_large_inputs_are_refused_at_once(name):
     with pytest.raises(DomainError):
         LARGE_INPUTS[name]()
     assert time.perf_counter() - start < 1.0
+
+
+def test_pg_lines_refuses_before_listing_points(monkeypatch):
+    # PG(16, 2) has 131,071 points, under the point cap, but its lines are
+    # refused; the points must not be listed first
+    def no_points(*args):
+        raise AssertionError("pg_points called")
+
+    monkeypatch.setattr(geometry, "pg_points", no_points)
+    for dim in (16, 10**12):
+        with pytest.raises(DomainError, match="lines of PG"):
+            pg_lines(dim, 2)
+
+
+def test_pg_lines_needs_dimension_two():
+    with pytest.raises(DomainError, match="dimension at least 2"):
+        pg_lines(1, 2)
 
 
 def test_point_cap_admits_the_plane_over_gf256():
