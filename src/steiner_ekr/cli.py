@@ -12,17 +12,14 @@ import argparse
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 
 from . import bounds, designs
-from .bounds import BoundReport, _render
+from .bounds import CubeRootBound
 from .designs import Design, load_design, save_design
-from .ekr import (
-    classification_report,
-    enumerate_maximal_ekr,
-    find_onan,
-    max_ekr_size,
-)
+from .ekr import classify, enumerate_maximal_ekr, find_onan, max_ekr_size
 from .errors import DomainError
+from .exactnum import SurdExpr
 
 _BUILTINS = {
     "projective": designs.projective_plane,
@@ -58,6 +55,57 @@ def _parse_design(spec: str) -> Design:
 
 def _summary(design: Design, spec: str) -> dict:
     return {"source": spec, "v": design.v, "k": design.k, "b": design.b, "r": design.r}
+
+
+def _frac(x) -> str:
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _value(x):
+    """An exact value in JSON form: ints stay, every rational is "p/q"."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return _frac(x)
+    if isinstance(x, SurdExpr):
+        return {"a": _frac(x.a), "b": _frac(x.b), "n": x.n}
+    if isinstance(x, CubeRootBound):
+        return {
+            "const": _frac(x.const),
+            "coef_cbrt_sq": _frac(x.sq_coef),
+            "coef_cbrt": _frac(x.lin_coef),
+            "radicand": x.radicand,
+        }
+    if isinstance(x, (tuple, list)):
+        return [_value(e) for e in x]
+    if isinstance(x, dict):
+        return {str(k): _value(v) for k, v in x.items()}
+    return str(x)
+
+
+def _report(formula, inputs, value, floor_value, active_branch=None) -> dict:
+    """A bound's payload, from a BoundReport's fields; no active_branch key when it is None."""
+    out = {
+        "formula": formula,
+        "inputs": _value(inputs),
+        "value": _value(value),
+        "floor_value": floor_value,
+    }
+    if active_branch is not None:
+        out["active_branch"] = active_branch
+    return out
+
+
+def _certificate(cert) -> dict:
+    """A SweepCertificate's payload."""
+    return {
+        "check": cert.check,
+        "ranges": _value(cert.ranges),
+        "total_cases": cert.total_cases,
+        "certified": cert.certified,
+        "failures": _value(cert.failures),
+    }
 
 
 def _scalar(v) -> str:
@@ -176,8 +224,26 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     design = _parse_design(args.design)
     families = enumerate_maximal_ekr(design, min_size=args.min_size, max_count=args.max_count)
-    report = classification_report(design, families, source=args.design)
-    types = report["types"]
+    types = []
+    for etype, count in classify(design, families):
+        hist = etype.profile.k_hist
+        types.append(
+            {
+                "label": etype.label,
+                "size": etype.size,
+                "count": count,
+                "covered": etype.profile.covered,
+                "max_multiplicity": etype.profile.k_s,
+                "k_hist": {str(i): hist[i] for i in range(1, len(hist)) if hist[i]},
+                "canonical_code": etype.code,
+                "witness": list(etype.witness.indices()),
+            }
+        )
+    report = {
+        "design": _summary(design, args.design),
+        "family_count": len(families),
+        "types": types,
+    }
     text = [f"types: {len(types)} (maximal families: {report['family_count']})"]
     for t in types:
         text.append(
@@ -225,9 +291,7 @@ def _cmd_max_size(args) -> int:
 
 def _multiplicity_cap(a) -> dict:
     value = bounds.multiplicity_cap_bound(a.k, a.max_mult)
-    return BoundReport(
-        "multiplicity-cap", {"k": a.k, "max_mult": a.max_mult}, value, value
-    ).as_json()
+    return _report("multiplicity-cap", {"k": a.k, "max_mult": a.max_mult}, value, value)
 
 
 def _cover_range(a) -> dict:
@@ -235,8 +299,8 @@ def _cover_range(a) -> dict:
     return {
         "formula": "cover-range",
         "inputs": {"k": a.k, "shortfall": a.shortfall},
-        "low": _render(lo),
-        "high": _render(hi),
+        "low": _value(lo),
+        "high": _value(hi),
     }
 
 
@@ -255,7 +319,7 @@ def _near_extremal(a) -> dict:
     return {
         "formula": "near-extremal",
         "inputs": {"k": a.k, "r": a.r},
-        "window_low": _render(bounds.near_extremal_cutoff(a.k)),
+        "window_low": _value(bounds.near_extremal_cutoff(a.k)),
         "window_high": a.k * a.k - a.k,
         "verdict": verdict.value,
     }
@@ -275,11 +339,11 @@ def _pencil_uniqueness(a) -> dict:
 _FORMULAS = {
     "counting": (
         ["k", "r", "excess"],
-        lambda a: bounds.counting_bound(a.k, a.r, a.excess).as_json(),
+        lambda a: _report(**vars(bounds.counting_bound(a.k, a.r, a.excess))),
     ),
     "counting-deficit": (
         ["k", "deficit", "excess"],
-        lambda a: bounds.counting_bound_deficit(a.k, a.deficit, a.excess).as_json(),
+        lambda a: _report(**vars(bounds.counting_bound_deficit(a.k, a.deficit, a.excess))),
     ),
     "multiplicity-cap": (["k", "max-mult"], _multiplicity_cap),
     "cover-range": (["k", "shortfall"], _cover_range),
@@ -287,9 +351,9 @@ _FORMULAS = {
     "near-extremal": (["k", "r"], _near_extremal),
     "unital-counting": (
         ["q", "excess"],
-        lambda a: bounds.unital_counting_bound(a.q, a.excess).as_json(),
+        lambda a: _report(**vars(bounds.unital_counting_bound(a.q, a.excess))),
     ),
-    "unital-second": (["q"], lambda a: bounds.unital_second_max_bound(a.q).as_json()),
+    "unital-second": (["q"], lambda a: _report(**vars(bounds.unital_second_max_bound(a.q)))),
     "pencil-uniqueness": (["k", "v"], _pencil_uniqueness),
     "discriminant": (
         ["k", "excess"],
@@ -312,18 +376,18 @@ def _deficit_grid(a) -> dict:
             raise argparse.ArgumentTypeError(
                 f"--k must be an integer or 'all', got {a.k!r}"
             ) from None
-    return bounds.sweep_deficit_grid(k).as_json()
+    return _certificate(bounds.sweep_deficit_grid(k))
 
 
 # check -> (options it needs, payload builder); the --check choices
 _CHECKS = {
     "deficit-grid": (["k"], _deficit_grid),
-    "large-k": ([], lambda a: bounds.sweep_large_k(k_max=a.k_max, budget=a.budget).as_json()),
+    "large-k": ([], lambda a: _certificate(bounds.sweep_large_k(k_max=a.k_max, budget=a.budget))),
     "moments": (
         ["l", "a", "excess", "r"],
-        lambda a: bounds.certify_moment_inequality(
-            a.l, a.a, a.excess, a.r, budget=a.budget
-        ).as_json(),
+        lambda a: _certificate(
+            bounds.certify_moment_inequality(a.l, a.a, a.excess, a.r, budget=a.budget)
+        ),
     ),
 }
 

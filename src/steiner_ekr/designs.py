@@ -25,7 +25,6 @@ __all__ = [
     "DesignError",
     "ParameterMismatch",
     "PairRepeated",
-    "PairUncovered",
     "ParseError",
     "affine_plane",
     "complete_graph",
@@ -44,12 +43,6 @@ class DesignError(DomainError):
 
 class ParameterMismatch(DesignError):
     pass
-
-
-class PairUncovered(DesignError):
-    def __init__(self, p: int, q: int):
-        super().__init__(f"point pair ({p}, {q}) lies on no block")
-        self.pair = (p, q)
 
 
 class PairRepeated(DesignError):
@@ -81,6 +74,10 @@ class Design:
             if any(tb[i] >= tb[i + 1] for i in range(k - 1)):
                 raise ParameterMismatch(f"block {tb} is not strictly increasing")
             clean.append(tb)
+        if len(clean) * k * (k - 1) != v * (v - 1):
+            raise ParameterMismatch(
+                f"a 2-({v},{k},1) design has v(v-1)/(k(k-1)) blocks, got {len(clean)}"
+            )
         clean.sort()
         self.v = v
         self.k = k
@@ -89,8 +86,12 @@ class Design:
         self._check_pairs()
 
     def _check_pairs(self):
-        v = self.v
-        cover = [0] * v
+        """Raise PairRepeated on a pair in two blocks.
+
+        __init__ has checked that b = v(v-1)/(k(k-1)), so with no pair
+        repeated every pair lies on a block.
+        """
+        cover = [0] * self.v
         for bi, m in enumerate(self.block_masks):
             for p in self.blocks[bi]:
                 later = m >> (p + 1) << (p + 1)
@@ -100,10 +101,6 @@ class Design:
                     first = next(a for a, bl in enumerate(self.blocks) if p in bl and q in bl)
                     raise PairRepeated(p, q, first, bi)
                 cover[p] |= later
-        for p in range(v):
-            missing = ((1 << v) - 1) >> (p + 1) << (p + 1) & ~cover[p]
-            if missing:
-                raise PairUncovered(p, (missing & -missing).bit_length() - 1)
 
     @property
     def b(self) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canon import canonical_code, shape
 from .designs import Design
@@ -36,7 +36,6 @@ __all__ = [
     "NotIntersecting",
     "OnanFreeVerdict",
     "PointOnBlock",
-    "classification_report",
     "classify",
     "classify_onan_free",
     "cover_profile",
@@ -133,12 +132,17 @@ class CoverProfile:
 
 @dataclass(frozen=True)
 class EkrType:
-    """Isomorphism type of a maximal family's induced incidence structure."""
+    """Isomorphism type of a maximal family's induced incidence structure.
+
+    witness is the type's first family in the input to classify; it takes no
+    part in equality, hashing or repr.
+    """
 
     label: str
     size: int
     profile: CoverProfile
     code: str
+    witness: BlockSet = field(compare=False, repr=False)
 
 
 def _meeting_all(family: BlockSet) -> int:
@@ -426,52 +430,21 @@ def _label(family: BlockSet, code: str) -> str:
     return f"type-s{size}-{digest}"
 
 
-def _group(families) -> list[list]:
-    """[type, count, first family] per isomorphism type, by (-size, code)."""
+def classify(design: Design, families) -> list[tuple[EkrType, int]]:
+    """Group families by the isomorphism type of their induced structures.
+
+    Returns (type, count) per type, by size descending and then canonical
+    code; each type's witness is its first family in input order.
+    """
     groups: dict[str, list] = {}
     for fam in families:
         code = canonical_code(fam)
         entry = groups.get(code)
         if entry is None:
-            etype = EkrType(_label(fam, code), len(fam), cover_profile(fam), code)
-            entry = groups[code] = [etype, 0, fam]
+            etype = EkrType(_label(fam, code), len(fam), cover_profile(fam), code, fam)
+            entry = groups[code] = [etype, 0]
         entry[1] += 1
-    return sorted(groups.values(), key=lambda e: (-e[0].size, e[0].code))
-
-
-def classify(design: Design, families) -> list[tuple[EkrType, int]]:
-    """Group families by the isomorphism type of their induced structures."""
-    return [(etype, count) for etype, count, _ in _group(families)]
-
-
-def classification_report(design: Design, families, source: str) -> dict:
-    """JSON-ready classification summary with one witness family per type."""
-    types = []
-    for etype, count, witness in _group(families):
-        hist = etype.profile.k_hist
-        types.append(
-            {
-                "label": etype.label,
-                "size": etype.size,
-                "count": count,
-                "covered": etype.profile.covered,
-                "max_multiplicity": etype.profile.k_s,
-                "k_hist": {str(i): hist[i] for i in range(1, len(hist)) if hist[i]},
-                "canonical_code": etype.code,
-                "witness": list(witness.indices()),
-            }
-        )
-    return {
-        "design": {
-            "source": source,
-            "v": design.v,
-            "k": design.k,
-            "b": design.b,
-            "r": design.r,
-        },
-        "family_count": sum(t["count"] for t in types),
-        "types": types,
-    }
+    return sorted(map(tuple, groups.values()), key=lambda e: (-e[0].size, e[0].code))
 
 
 @dataclass(frozen=True)

@@ -60,15 +60,8 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-def _poly_trim(cs: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(cs)
-    while i > 0 and cs[i - 1] == 0:
-        i -= 1
-    return cs[:i]
-
-
 def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m is monic
+    """a mod the monic m, as deg(m) coefficients, lowest degree first."""
     a = list(a)
     dm = len(m) - 1
     for i in range(len(a) - 1, dm - 1, -1):
@@ -76,7 +69,7 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
         if c:
             for j in range(dm + 1):
                 a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _poly_trim(tuple(x % p for x in a[:dm]))
+    return tuple(x % p for x in a[:dm])
 
 
 def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
@@ -84,7 +77,7 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     for d in range(1, (len(m) - 1) // 2 + 1):
         for tail in product(range(p), repeat=d):
             g = (*tail, 1)
-            if not _poly_mod(m, g, p):
+            if not any(_poly_mod(m, g, p)):
                 return False
     return True
 
@@ -139,8 +132,7 @@ class Field:
             if a:
                 for j, b in enumerate(dy):
                     prod[i + j] = (prod[i + j] + a * b) % self.p
-        rem = _poly_mod(tuple(prod), self.modulus, self.p)
-        return self._encode(rem + (0,) * (self.e - len(rem)))
+        return self._encode(_poly_mod(tuple(prod), self.modulus, self.p))
 
     def _pow_raw(self, x: int, k: int) -> int:
         out = 1

@@ -129,11 +129,21 @@ def test_classify_json_sts13(capsys):
     code, out, _ = run(capsys, "classify", "--design", "sts13:1", "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["design"]["source"] == "sts13:1"
+    assert report["design"] == {"source": "sts13:1", "v": 13, "k": 3, "b": 26, "r": 6}
     assert report["family_count"] == 201
     assert [(t["label"], t["size"], t["count"]) for t in report["types"]] == [
         ("point-pencil", 6, 13), ("EKR_5", 5, 24), ("EKR_4", 4, 164),
     ]
+    pencil = report["types"][0]
+    assert list(pencil) == [
+        "label", "size", "count", "covered", "max_multiplicity", "k_hist",
+        "canonical_code", "witness",
+    ]
+    assert (pencil["covered"], pencil["max_multiplicity"]) == (13, 6)
+    assert pencil["k_hist"] == {"1": 12, "6": 1}
+    # the witness is the first family of its type in enumeration order
+    first = json.loads(run(capsys, "enumerate", "--design", "sts13:1", "--format", "json")[1])
+    assert pencil["witness"] == first["families"][0]["blocks"]
 
 
 def test_classify_text_unital(capsys):
@@ -277,6 +287,52 @@ def test_bound_csv(capsys):
     assert rows[0] == "formula,inputs,value,floor_value"
     assert rows[1].startswith("multiplicity-cap,")
     assert rows[1].endswith(",13,13")
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (
+            ["bound", "--formula", "counting", "--k", "3", "--r", "6", "--excess", "1"],
+            {
+                "formula": "counting",
+                "inputs": {"k": 3, "r": 6, "excess": 1},
+                "value": "5/1",
+                "floor_value": 5,
+                "active_branch": 1,
+            },
+        ),
+        (
+            ["bound", "--formula", "unital-second", "--q", "5"],
+            {
+                "formula": "unital-second",
+                "inputs": {"q": 5, "cbrt_bracket_q2": 2, "cbrt_bracket_q": 1},
+                "value": {"const": "21/1", "coef_cbrt_sq": "1/1", "coef_cbrt": "-2/3", "radicand": 5},
+                "floor_value": 22,
+            },
+        ),
+        (
+            ["bound", "--formula", "multiplicity-cap", "--k", "4", "--max-mult", "3"],
+            {"formula": "multiplicity-cap", "inputs": {"k": 4, "max_mult": 3}, "value": 9, "floor_value": 9},
+        ),
+        (
+            ["sweep", "--check", "deficit-grid", "--k", "4"],
+            {
+                "check": "deficit-grid",
+                "ranges": {"k": 4, "deficit_cap": 1},
+                "total_cases": 4,
+                "certified": True,
+                "failures": [],
+            },
+        ),
+    ],
+    ids=["counting", "unital-second", "multiplicity-cap", "deficit-grid"],
+)
+def test_json_payload(capsys, argv, payload):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    # the key order is part of the output
+    assert list(json.loads(out).items()) == list(payload.items())
 
 
 # -- sweep verb ---------------------------------------------------------------------

@@ -12,7 +12,6 @@ from steiner_ekr.designs import (
     Design,
     DesignError,
     PairRepeated,
-    PairUncovered,
     ParameterMismatch,
     ParseError,
     load_design,
@@ -71,12 +70,6 @@ def test_pair_repeated_is_reported():
     assert exc.value.blocks == (5, 6)
 
 
-def test_pair_uncovered_is_reported():
-    with pytest.raises(PairUncovered) as exc:
-        Design(7, 3, FANO_BLOCKS[:-1])
-    assert exc.value.pair in {(2, 4), (2, 5), (4, 5)}
-
-
 @pytest.mark.parametrize(
     "v, k, blocks",
     [
@@ -85,11 +78,24 @@ def test_pair_uncovered_is_reported():
         (7, 3, FANO_BLOCKS[:-1] + [(2, 4, 4)]),       # repeated point
         (3, 3, [(0, 1, 2)]),                          # v must exceed k
         (7, 1, [(0,), (1,)]),                         # k must exceed 1
+        (7, 3, FANO_BLOCKS[:-1]),                     # b must be v(v-1)/(k(k-1))
     ],
 )
 def test_structural_rejections(v, k, blocks):
     with pytest.raises(ParameterMismatch):
         Design(v, k, blocks)
+
+
+def test_block_count_is_checked_before_the_pair_scan():
+    # the pair scan keeps a v-bit mask per point: about 80 MB at v = 10**7
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterMismatch):
+            Design(10**7, 3, [(0, 1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_block_index():

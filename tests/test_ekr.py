@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steiner_ekr as se
+from steiner_ekr.canon import canonical_code
 from steiner_ekr.ekr import (
     BlockSet,
     HasONan,
@@ -26,7 +27,6 @@ from steiner_ekr.ekr import (
     PointOnBlock,
     classify,
     classify_onan_free,
-    classification_report,
     cover_profile,
     enumerate_maximal_ekr,
     find_onan,
@@ -547,22 +547,18 @@ def test_classify_projective_plane(suite):
     assert etype.label.startswith("type-s13-")
 
 
-def test_classification_report_shape(suite):
+def test_classify_witness_is_the_first_family_of_its_type(suite):
     design, families = suite.pair("sts13a")
-    report = classification_report(design, families, source="sts13:1")
-    assert report["design"] == {"source": "sts13:1", "v": 13, "k": 3, "b": 26, "r": 6}
-    assert report["family_count"] == 201
-    assert [t["size"] for t in report["types"]] == [6, 5, 4]
-    assert [t["count"] for t in report["types"]] == [13, 24, 164]
-    pencil = report["types"][0]
-    assert pencil["max_multiplicity"] == 6
-    assert pencil["covered"] == 13
-    assert pencil["k_hist"] == {"1": 12, "6": 1}
-    assert pencil["witness"] == list(families[0].indices())
-    assert sorted(pencil) == [
-        "canonical_code", "count", "covered", "k_hist", "label",
-        "max_multiplicity", "size", "witness",
-    ]
+    rows = classify(design, families)
+    for etype, _ in rows:
+        assert etype.witness is next(f for f in families if canonical_code(f) == etype.code)
+    # the witness takes no part in equality, hashing or repr
+    other = _relabelled(design, 1)
+    moved = classify(other, enumerate_maximal_ekr(other))
+    assert moved == rows
+    assert {t for t, _ in moved} == {t for t, _ in rows}
+    assert [repr(t) for t, _ in moved] == [repr(t) for t, _ in rows]
+    assert [t.witness.indices() for t, _ in moved] != [t.witness.indices() for t, _ in rows]
 
 
 def test_classify_onan_free_unitals(suite):
