@@ -1,11 +1,12 @@
 """Exact bound formulas, thresholds, and inequality sweeps for intersecting families.
 
 Everything here is evaluated in exact arithmetic: rationals stay rationals,
-square roots become SurdExpr comparisons, and a cube-root expression takes the
-sign of its field norm, with integer root brackets only for the floor's first
-guess.  Floors gallop and bisect on exact sign tests and are certified
-against consecutive integers, never by rounding a float.  Sweep functions
-return certificates listing every failing case: an empty list is the proof.
+square roots become SurdExpr comparisons, and a cube-root expression is an
+exactnum.CubeRootBound, which takes the sign of its field norm and uses
+integer cube roots only for the floor's first guess.  Floors gallop and
+bisect on exact sign tests and are certified against consecutive integers,
+never by rounding a float.  Sweep functions return certificates listing
+every failing case: an empty list is the proof.
 """
 
 from __future__ import annotations
@@ -16,19 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError
-from .exactnum import (
-    SurdExpr,
-    cmp_surd,
-    _floor_from_sign,
-    icbrt_floor,
-    cbrt_quadratic_sign,
-    surd_floor,
-    surd_sign,
-)
+from .exactnum import CubeRootBound, SurdExpr, cmp_surd, icbrt_floor, surd_floor, surd_sign
 
 __all__ = [
     "BoundReport",
-    "CubeRootBound",
     "DEFICIT_CAPS",
     "NearExtremalVerdict",
     "ReplicationVerdict",
@@ -51,33 +43,6 @@ __all__ = [
     "unital_counting_bound",
     "unital_second_max_bound",
 ]
-
-
-@dataclass(frozen=True)
-class CubeRootBound:
-    """const + sq_coef * radicand^(2/3) + lin_coef * radicand^(1/3), exactly."""
-
-    radicand: int
-    const: Fraction
-    sq_coef: Fraction
-    lin_coef: Fraction
-
-    def compare(self, m: int) -> int:
-        """Sign of (self - m), decided without floating point."""
-        return cbrt_quadratic_sign(self.sq_coef, self.lin_coef, self.const - m, self.radicand)
-
-    def exact_floor(self) -> int:
-        """floor(self) by exact sign tests, at most three of them for any coefficients.
-
-        The guess takes both roots in fixed point, T2 = floor(2^s radicand^(2/3))
-        and T = floor(2^s radicand^(1/3)), with 2^s > |sq_coef| + |lin_coef|, so
-        const + (sq_coef T2 + lin_coef T) / 2^s is off by less than one.
-        """
-        s = math.ceil(abs(self.sq_coef) + abs(self.lin_coef)).bit_length()
-        t2 = icbrt_floor(self.radicand**2 << 3 * s).floor_root
-        t = icbrt_floor(self.radicand << 3 * s).floor_root
-        guess = math.floor(self.const + Fraction(self.sq_coef * t2 + self.lin_coef * t, 1 << s))
-        return _floor_from_sign(self.compare, guess)
 
 
 @dataclass(frozen=True)
@@ -228,7 +193,8 @@ def certify_moment_inequality(
     constraints (first and second factorial moments fixed by l, a, b, r) and
     checks sum (i-1) n_i <= C(b,2) + (a+2b-2) C(l+1,2) on each.  The
     hypothesis window for a is checked exactly before searching; its lower
-    edges lo1 and lo2 are sum_i >= 0 and sum_ii >= 0.
+    edges lo1 and lo2 are sum_i >= 0 and sum_ii >= 0.  More than budget cases
+    raise BudgetExceeded, before the search where it must meet more.
     """
     if l < 2:
         raise DomainError("moment certificate needs l at least 2")
@@ -250,6 +216,11 @@ def certify_moment_inequality(
     ranges = {"l": l, "a": a, "b": b, "r": r, "sum_i": s1, "sum_ii": s2}
     # n_i is 0 wherever i(i-1) > s2, so only the first `width` counts can move
     width = min(l, max(2, (math.isqrt(4 * s2 + 1) + 1) // 2))
+    # Every in-window input with l <= 60, r <= l + 60 and b <= 7 yields at least
+    # width - 1 cases, so a smaller budget is refused before the search
+    # allocates its width + 1 counts.
+    if width - 1 > budget:
+        raise BudgetExceeded(f"moment search passed {budget} cases", count=budget + 1)
     failures: list[tuple] = []
     cases = 0
     for ns, lhs in _count_vectors(width, s1, s2):
@@ -487,7 +458,8 @@ def unital_second_max_bound(q: int) -> BoundReport:
 
     q^2 - q + 1 + q^(2/3) - (2/3) q^(1/3) for q >= 5; the small orders have
     sharper tabulated values.  The floor is certified by exact sign tests of
-    the cubic-root expression, with integer root brackets reported alongside.
+    the cubic-root expression, with the integer cube roots of q^2 and q
+    reported alongside.
     """
     if q < 3:
         raise DomainError("second-largest unital bound starts at q = 3")
@@ -498,7 +470,7 @@ def unital_second_max_bound(q: int) -> BoundReport:
     expr = CubeRootBound(q, Fraction(q * q - q + 1), Fraction(1), Fraction(-2, 3))
     inputs = {
         "q": q,
-        "cbrt_bracket_q2": icbrt_floor(q * q).floor_root,
-        "cbrt_bracket_q": icbrt_floor(q).floor_root,
+        "cbrt_bracket_q2": icbrt_floor(q * q),
+        "cbrt_bracket_q": icbrt_floor(q),
     }
     return BoundReport("unital-second", inputs, expr, expr.exact_floor())

@@ -15,11 +15,10 @@ from collections import Counter
 from fractions import Fraction
 
 from . import bounds, designs
-from .bounds import CubeRootBound
 from .designs import Design, load_design, save_design
 from .ekr import classify, enumerate_maximal_ekr, find_onan, max_ekr_size
 from .errors import DomainError
-from .exactnum import SurdExpr
+from .exactnum import CubeRootBound, SurdExpr
 
 _BUILTINS = {
     "projective": designs.projective_plane,
@@ -482,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=2_000_000,
-        help="case cap of the large-k and moments checks; deficit-grid ignores it",
+        help="case cap of the large-k and moments checks, which exit 1 before they "
+        "search when they must pass it; deficit-grid ignores it",
     )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_table(p, _CHECKS, "check"))

@@ -8,17 +8,20 @@ Incidence is kept only as bitmasks, each built from the block list: per
 block its points, per point the blocks through it, and per block the other
 blocks it meets, so memory grows as b^2.  A builtin constructor or a design
 file with more than ``MAX_BLOCKS`` blocks is refused before any block is
-built or read.  Every geometric builtin is the secant-line design of a point
-set, built by ``geometry.secant_lines`` from the lines of a projective space.
+built or read, and a file is read line by line, so a line of more than
+``MAX_LINE_CHARS`` characters is refused before it is read in full.  Every
+geometric builtin is the secant-line design of a point set, built by
+``geometry.secant_lines`` from the lines of a projective space.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import nullcontext
 from functools import cached_property
 
 from .errors import DomainError
-from .geometry import field_for_order, hermitian_points, pg_lines, secant_lines
+from .geometry import field, hermitian_points, pg_lines, secant_lines
 
 __all__ = [
     "Design",
@@ -164,6 +167,11 @@ class Design:
 # its adjacency in about 0.25 s in a 23 MB process.
 MAX_BLOCKS = 2000
 
+# Most characters, newline included, on one line of a design file.  A block
+# line lists k <= 45 points, each below v <= b <= MAX_BLOCKS, so no legal line
+# comes near it; a longer line is refused once that many characters are read.
+MAX_LINE_CHARS = 1 << 16
+
 
 def _check_block_count(kind: str, n: int, b: int) -> None:
     """Refuse kind:n, which has b blocks, before building it when b passes MAX_BLOCKS.
@@ -191,7 +199,7 @@ def pg3_line_design(q: int) -> Design:
 def affine_plane(q: int) -> Design:
     """Lines of AG(2, q): a 2-(q^2, q, 1) design; point (x, y) has index x*q + y."""
     _check_block_count("affine", q, q * q + q)
-    fld = field_for_order(q)
+    fld = field(q)
     pts = [(1, x, y) for x in fld.elements for y in fld.elements]
     return Design(q * q, q, secant_lines(fld, pts), name=f"affine:{q}")
 
@@ -201,7 +209,7 @@ def hermitian_unital(q: int) -> Design:
     _check_block_count("unital", q, q * q * (q * q - q + 1))
     # the curve first: it factors q itself, so an error names q, not q**2
     pts = hermitian_points(q)
-    return Design(q**3 + 1, q + 1, secant_lines(field_for_order(q * q), pts), name=f"unital:{q}")
+    return Design(q**3 + 1, q + 1, secant_lines(field(q * q), pts), name=f"unital:{q}")
 
 
 def complete_graph(v: int) -> Design:
@@ -253,25 +261,38 @@ def save_design(design: Design, path) -> None:
             fh.write(text)
 
 
+def _numbered_lines(path):
+    """(line_no, line) for each line of the file, numbered as str.splitlines splits its text.
+
+    The file is read one newline-ended line at a time, and a line of more than
+    MAX_LINE_CHARS characters raises ParseError before any more is read.
+    """
+    with nullcontext(path) if hasattr(path, "readline") else open(path) as fh:
+        line_no = 0
+        try:
+            while chunk := fh.readline(MAX_LINE_CHARS + 1):
+                if len(chunk) > MAX_LINE_CHARS:
+                    raise ParseError(line_no + 1, f"line longer than {MAX_LINE_CHARS} characters")
+                for line in chunk.splitlines():
+                    line_no += 1
+                    yield line_no, line
+        except UnicodeDecodeError as exc:
+            raise ParseError(0, f"not a text file: {exc.reason}") from None
+
+
 def load_design(path) -> Design:
     """Parse and validate the text format produced by save_design.
 
     Lines starting with '#' and blank lines are skipped.  The first payload
     line must be "v k", with b = v(v-1)/(k(k-1)) at most MAX_BLOCKS; exactly
-    b block lines must follow, each k strictly increasing point indices.
+    b block lines must follow, each k strictly increasing point indices.  The
+    file is read line by line, so each of these checks, and the MAX_LINE_CHARS
+    cap, fires as soon as its line is read.
     """
-    try:
-        if hasattr(path, "read"):
-            raw = path.read()
-        else:
-            with open(path) as fh:
-                raw = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(0, f"not a text file: {exc.reason} at byte {exc.start}") from None
     header: tuple[int, int] | None = None
     blocks: list[tuple[int, ...]] = []
     expected = None
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in _numbered_lines(path):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

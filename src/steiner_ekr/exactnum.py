@@ -4,21 +4,19 @@ Rationals are plain ``fractions.Fraction`` (already reduced, positive
 denominator, arbitrary precision).  Quadratic surds a + b*sqrt(n) are compared
 through sign analysis with at most two squarings; equality is decided exactly,
 never through an epsilon.  A polynomial in a real cube root takes the sign of
-its field norm, one integer.  Integer cube roots carry explicit bracketing
-witnesses so a reported floor can be re-checked by multiplication alone.
+its field norm, one integer.  ``CubeRootBound`` holds such an expression with
+a constant term and floors it by those sign tests.  An integer cube root is a
+plain int x with x^3 <= n < (x+1)^3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 
 __all__ = [
-    "EQUAL",
-    "GREATER",
-    "LESS",
-    "RootBracket",
+    "CubeRootBound",
     "SurdExpr",
     "cbrt_quadratic_sign",
     "cmp_surd",
@@ -26,8 +24,6 @@ __all__ = [
     "surd_floor",
     "surd_sign",
 ]
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def _sign(x) -> int:
@@ -38,26 +34,8 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Witness that floor_root**degree <= value < (floor_root+1)**degree."""
-
-    value: int
-    degree: int
-    floor_root: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("negative radicand")
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        f = self.floor_root
-        if f < 0 or not f**self.degree <= self.value < (f + 1) ** self.degree:
-            raise ValueError("bracket does not hold")
-
-
-def icbrt_floor(value: int) -> RootBracket:
-    """Floor of the cube root of an integer, with a verified bracket."""
+def icbrt_floor(value: int) -> int:
+    """The x with x^3 <= value < (x+1)^3, the floor of the cube root of value >= 0."""
     if value < 0:
         raise ValueError("negative radicand")
     # Newton iteration from an over-estimate, then exact fixup.
@@ -71,7 +49,7 @@ def icbrt_floor(value: int) -> RootBracket:
         x -= 1
     while (x + 1) ** 3 <= value:
         x += 1
-    return RootBracket(value, 3, x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -197,8 +175,35 @@ def cbrt_quadratic_sign(c2, c1, c0, radicand: int) -> int:
     if radicand < 0:
         raise ValueError("negative radicand")
     c2, c1, c0 = _scaled(c2, c1, c0)
-    root = icbrt_floor(radicand).floor_root
+    root = icbrt_floor(radicand)
     if root**3 == radicand:
         return _sign((c2 * root + c1) * root + c0)
     n = radicand
     return _sign(c0**3 + c1**3 * n + c2**3 * n * n - 3 * c0 * c1 * c2 * n)
+
+
+@dataclass(frozen=True)
+class CubeRootBound:
+    """const + sq_coef * radicand^(2/3) + lin_coef * radicand^(1/3), exactly."""
+
+    radicand: int
+    const: Fraction
+    sq_coef: Fraction
+    lin_coef: Fraction
+
+    def compare(self, m: int) -> int:
+        """Sign of (self - m), decided without floating point."""
+        return cbrt_quadratic_sign(self.sq_coef, self.lin_coef, self.const - m, self.radicand)
+
+    def exact_floor(self) -> int:
+        """floor(self) by exact sign tests, at most three of them for any coefficients.
+
+        The guess takes both roots in fixed point, T2 = floor(2^s radicand^(2/3))
+        and T = floor(2^s radicand^(1/3)), with 2^s > |sq_coef| + |lin_coef|, so
+        const + (sq_coef T2 + lin_coef T) / 2^s is off by less than one.
+        """
+        s = ceil(abs(self.sq_coef) + abs(self.lin_coef)).bit_length()
+        t2 = icbrt_floor(self.radicand**2 << 3 * s)
+        t = icbrt_floor(self.radicand << 3 * s)
+        guess = floor(self.const + Fraction(self.sq_coef * t2 + self.lin_coef * t, 1 << s))
+        return _floor_from_sign(self.compare, guess)

@@ -1,6 +1,6 @@
 """Small finite fields, projective / Hermitian point sets and their secant lines.
 
-Two caps keep every construction small.  Fields GF(p^e) have at most
+Two caps keep every construction small.  A field GF(q) has at most
 ``MAX_FIELD_ORDER`` = 2**16 elements, and ``prime_power`` refuses a q above
 that cap before it factors, so no trial division runs on a larger number.  A
 projective space has at most ``MAX_POINTS`` = 2**17 points: ``pg_points``
@@ -10,9 +10,10 @@ checks before it lists the points.
 
 Field elements use a dense integer encoding: the element with base-p digits
 (c0, c1, ...) is sum(ci * p**i), so 0 and 1 are the additive and
-multiplicative identities.  ``Field(p, e)`` takes as its modulus the least
-monic irreducible polynomial of degree e, with coefficients compared from the
-highest degree down; ``field(p, e)`` is its cached constructor.
+multiplicative identities.  A field is named by its order: ``Field(q)``
+factors q = p^e with ``prime_power`` and takes as its modulus the least monic
+irreducible polynomial of degree e, with coefficients compared from the
+highest degree down; ``field(q)`` is its cached constructor.
 Multiplication runs on discrete log tables built from a fixed generator
 search, which keeps every construction reproducible across runs and
 platforms.
@@ -29,7 +30,7 @@ from itertools import product
 
 from .errors import DomainError
 
-__all__ = ["Field", "field", "field_for_order", "hermitian_points", "pg_lines", "pg_points"]
+__all__ = ["Field", "field", "hermitian_points", "pg_lines", "pg_points"]
 
 MAX_FIELD_ORDER = 1 << 16
 MAX_POINTS = 1 << 17
@@ -92,19 +93,12 @@ def _min_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 class Field:
-    """Arithmetic table for GF(p^e) on elements encoded as 0 .. p^e - 1."""
+    """Arithmetic table for GF(q), q = p^e, on elements encoded as 0 .. q - 1."""
 
-    def __init__(self, p: int, e: int = 1):
-        if e < 1:
-            raise DomainError("extension degree must be positive")
-        if e >= MAX_FIELD_ORDER.bit_length() or p**e > MAX_FIELD_ORDER:
-            raise DomainError(f"field order {p}**{e} exceeds {MAX_FIELD_ORDER}")
-        if _factor(p) != {p: 1}:
-            raise DomainError(f"{p} is not prime")
-        self.p = p
-        self.e = e
-        self.order = p**e
-        self.modulus = _min_irreducible(p, e)
+    def __init__(self, q: int):
+        self.p, self.e = prime_power(q)
+        self.order = q
+        self.modulus = _min_irreducible(self.p, self.e)
         self._build_tables()
 
     # -- encoding -----------------------------------------------------
@@ -199,14 +193,8 @@ class Field:
 
 
 @lru_cache(maxsize=None)
-def field(p: int, e: int = 1) -> Field:
-    return Field(p, e)
-
-
-@lru_cache(maxsize=None)
-def field_for_order(q: int) -> Field:
-    p, f = prime_power(q)
-    return field(p, f)
+def field(q: int) -> Field:
+    return Field(q)
 
 
 # -- projective geometry ------------------------------------------------
@@ -285,7 +273,7 @@ def pg_lines(dim: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, .
     """Points and lines of PG(dim, q); lines are sorted tuples of point indices."""
     if dim < 2:
         raise DomainError("need dimension at least 2")
-    fld = field_for_order(q)
+    fld = field(q)
     _check_line_incidences(dim, q)
     pts = pg_points(fld, dim)
     lines = secant_lines(fld, pts)
@@ -299,8 +287,8 @@ def pg_lines(dim: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, .
 
 def hermitian_points(q: int) -> list[tuple[int, ...]]:
     """Points of PG(2, q^2) with x0^(q+1) + x1^(q+1) + x2^(q+1) = 0."""
-    p, f = prime_power(q)
-    fld = field(p, 2 * f)
+    prime_power(q)  # so that an error names q, not q**2
+    fld = field(q * q)
     m = q + 1
     sel = []
     for pt in pg_points(fld, 2):

@@ -12,6 +12,7 @@ sign tests at magnitudes up to 10^40.
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from steiner_ekr.bounds import (
     DEFICIT_CAPS,
-    CubeRootBound,
     _count_vectors,
     NearExtremalVerdict,
     ReplicationVerdict,
@@ -43,9 +43,7 @@ from steiner_ekr.bounds import (
     unital_second_max_bound,
 )
 from steiner_ekr.errors import BudgetExceeded, DomainError
-from steiner_ekr.exactnum import (
-    EQUAL, GREATER, LESS, SurdExpr, _floor_from_sign, cmp_surd, surd_floor,
-)
+from steiner_ekr.exactnum import CubeRootBound, SurdExpr, _floor_from_sign, cmp_surd, surd_floor
 
 # Generous next to the milliseconds these calls take; a floor that walks one
 # integer at a time, or a window scan over c, blows through it.
@@ -353,6 +351,40 @@ def test_moment_certificate_large_second_moment_stops_at_the_budget():
     assert exc.value.count == 1001
 
 
+def test_moment_search_yields_at_least_width_minus_one_cases():
+    # the count that lets certify_moment_inequality refuse a budget below
+    # width - 1 before it searches: every in-window input here reaches it
+    checked = 0
+    for l in range(2, 21):
+        for b in range(6):
+            for r in range(l + 21):
+                lo1 = F(-l * (r - l - 1) + 1) - F(b * r, l + 1)
+                lo2 = F(-b * (b - 1), (l + 1) * l) - 2 * (b - 1)
+                hi = F(r * l - l * l + l - 1, l - 1) - F(
+                    b * (2 * l * l + 2 * l - r + b - 1), l * l - 1
+                )
+                for a in range(math.ceil(max(lo1, lo2)), math.floor(hi) + 1):
+                    s1 = (a - 1) * (l + 1) + b * r + l * (l + 1) * (r - l - 1)
+                    s2 = b * (b - 1) + l * (l + 1) * (a + 2 * b - 2)
+                    width = min(l, max(2, (math.isqrt(4 * s2 + 1) + 1) // 2))
+                    cases = itertools.islice(_count_vectors(width, s1, s2), width - 1)
+                    assert sum(1 for _ in cases) == width - 1, (l, a, b, r)
+                    checked += 1
+    assert checked == 28001
+
+
+def test_moment_budget_below_the_width_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="passed 1000 cases") as exc:
+            certify_moment_inequality(10**7, 3, 0, 10**7 + 10, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.count == 1001
+    assert peak < 1 << 20
+
+
 def test_moment_certificate_rejects_bad_shape():
     with pytest.raises(DomainError):
         certify_moment_inequality(1, 0, 0, 5)
@@ -374,7 +406,7 @@ def test_replication_threshold():
 
 def test_near_extremal_cutoff_value():
     cutoff = near_extremal_cutoff(4)
-    assert cmp_surd(cutoff, SurdExpr.rational(F(15, 2))) == EQUAL
+    assert cmp_surd(cutoff, SurdExpr.rational(F(15, 2))) == 0
 
 
 def test_near_extremal_threshold_windows():
@@ -479,7 +511,7 @@ def test_deficit_windows_abut_exactly():
     for c in range(0, 11):
         _, hi = deficit_interval(14, c)
         lo_next, _ = deficit_interval(14, c + 1)
-        assert cmp_surd(hi, lo_next) == EQUAL, c
+        assert cmp_surd(hi, lo_next) == 0, c
     with pytest.raises(DomainError):
         deficit_interval(13, 1)
     with pytest.raises(DomainError):
@@ -489,12 +521,12 @@ def test_deficit_windows_abut_exactly():
 def test_first_deficit_window_is_zero_to_sqrt_k_minus_1():
     for k in range(14, 40):
         lo, hi = deficit_interval(k, 0)
-        assert cmp_surd(lo, SurdExpr.rational(0)) == EQUAL
+        assert cmp_surd(lo, SurdExpr.rational(0)) == 0
         root = math.isqrt(k - 1)
         assert cmp_surd(hi, SurdExpr.rational(root)) == (
-            EQUAL if root * root == k - 1 else GREATER
+            0 if root * root == k - 1 else 1
         ), k
-        assert cmp_surd(hi, SurdExpr.rational(root + 1)) == LESS, k
+        assert cmp_surd(hi, SurdExpr.rational(root + 1)) == -1, k
 
 
 def test_locate_deficit_interval_spots():

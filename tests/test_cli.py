@@ -464,6 +464,45 @@ def test_binary_file_exits_one(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _bounded_cli(*argv):
+    """(exit status, stderr, seconds) of main(argv) in a child with a 1 GB address space."""
+    pytest.importorskip("resource")
+    src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
+    probe = (
+        "import resource, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({1000 << 20}, {1000 << 20}))\n"
+        "from steiner_ekr import cli\n"
+        "start = time.perf_counter()\n"
+        f"code = cli.main({list(argv)!r})\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout, proc.stderr[-500:]
+    code, elapsed = proc.stdout.split()
+    return int(code), proc.stderr, float(elapsed)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_file_exits_one():
+    code, err, elapsed = _bounded_cli("validate", "--design", "file:/dev/zero")
+    assert code == 1 and err == "error: line 1: line longer than 65536 characters\n"
+    assert elapsed < 1.0
+
+
+def test_moment_search_past_the_budget_exits_one_at_once():
+    # width - 1 = 10^8 - 1 cases at least: refused before 10^8 counts are allocated
+    code, err, elapsed = _bounded_cli(
+        "sweep", "--check", "moments",
+        "--l", "100000000", "--a", "3", "--excess", "0", "--r", "100000010",
+    )
+    assert code == 1 and err == "error: moment search passed 2000000 cases\n"
+    assert elapsed < 1.0
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
 )

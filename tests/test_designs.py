@@ -9,6 +9,7 @@ import pytest
 import steiner_ekr as se
 from steiner_ekr.designs import (
     MAX_BLOCKS,
+    MAX_LINE_CHARS,
     Design,
     DesignError,
     PairRepeated,
@@ -160,6 +161,36 @@ def test_complete_graph_needs_v_above_two(v):
     # Design's own v > k check refuses K_2, K_1 and K_0
     with pytest.raises(ParameterMismatch, match=f"need v > k > 1, got v={v} k=2"):
         se.complete_graph(v)
+
+
+def test_line_numbers_follow_str_splitlines():
+    # form feeds and the other separators of str.splitlines end a line too
+    with pytest.raises(ParseError) as exc:
+        load_design(io.StringIO("7 3\f0 1 2\x1c\v0 x 4\n"))
+    assert exc.value.line_no == 4
+
+
+def test_long_line_is_refused_as_it_is_read(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("# " + "x" * (5 << 20) + "\n7 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"longer than {MAX_LINE_CHARS} characters") as exc:
+            load_design(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line_no == 1
+    assert peak < 1 << 20
+
+
+def test_line_cap_admits_a_line_of_max_line_chars():
+    pad = " " * (MAX_LINE_CHARS - len("7 3\n"))
+    text = pad + "7 3\n" + "".join(" ".join(map(str, blk)) + "\n" for blk in FANO_BLOCKS)
+    assert load_design(io.StringIO(text)).b == 7
+    with pytest.raises(ParseError) as exc:
+        load_design(io.StringIO(" " + text))
+    assert exc.value.line_no == 1
 
 
 def test_parse_wrong_block_count():

@@ -17,12 +17,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steiner_ekr.bounds import CubeRootBound, unital_second_max_bound
+from steiner_ekr.bounds import unital_second_max_bound
 from steiner_ekr.exactnum import (
-    EQUAL,
-    GREATER,
-    LESS,
-    RootBracket,
+    CubeRootBound,
     SurdExpr,
     _floor_from_sign,
     cbrt_quadratic_sign,
@@ -97,53 +94,44 @@ def cbrt_sign_by_roots(c2, c1, c0, n: int) -> int:
     return _sign(c2) * above(u, -v) * above(u, v)
 
 
-# -- integer root brackets --------------------------------------------------
+# -- integer cube roots ----------------------------------------------------
 
 
 def test_icbrt_spot_values():
-    assert icbrt_floor(0).floor_root == 0
-    assert icbrt_floor(1).floor_root == 1
-    assert icbrt_floor(7).floor_root == 1
-    assert icbrt_floor(8).floor_root == 2
-    assert icbrt_floor(25).floor_root == 2
-    assert icbrt_floor(27).floor_root == 3
-    assert icbrt_floor(3**30).floor_root == 3**10
-
-
-def test_root_bracket_validates():
-    RootBracket(27, 3, 3)
-    with pytest.raises(ValueError):
-        RootBracket(10, 3, 5)
-    with pytest.raises(ValueError):
-        RootBracket(27, 3, 2)
+    assert icbrt_floor(0) == 0
+    assert icbrt_floor(1) == 1
+    assert icbrt_floor(7) == 1
+    assert icbrt_floor(8) == 2
+    assert icbrt_floor(25) == 2
+    assert icbrt_floor(27) == 3
+    assert icbrt_floor(3**30) == 3**10
 
 
 @given(st.integers(min_value=0, max_value=10**40))
 def test_icbrt_bracket_property(value):
-    br = icbrt_floor(value)
-    f = br.floor_root
-    assert br.degree == 3
+    f = icbrt_floor(value)
+    assert type(f) is int
     assert f**3 <= value < (f + 1) ** 3
 
 
 def test_icbrt_exact_powers():
     for base in (2, 3, 10, 12345, 10**13 + 7):
-        assert icbrt_floor(base**3).floor_root == base
-        assert icbrt_floor(base**3 - 1).floor_root == base - 1
+        assert icbrt_floor(base**3) == base
+        assert icbrt_floor(base**3 - 1) == base - 1
 
 
 # -- single surds -----------------------------------------------------------
 
 
 def test_cmp_spot_values():
-    assert cmp_surd(SurdExpr(1, 1, 2), SurdExpr(0, 1, 5)) == GREATER
-    assert cmp_surd(SurdExpr(0, F(3, 4), 4), SurdExpr.rational(F(3, 2))) == EQUAL
-    assert cmp_surd(SurdExpr(0, 1, 4), SurdExpr(2, 0, 0)) == EQUAL
-    assert cmp_surd(SurdExpr(0, 1, 2), SurdExpr(0, 1, 3)) == LESS
+    assert cmp_surd(SurdExpr(1, 1, 2), SurdExpr(0, 1, 5)) == 1
+    assert cmp_surd(SurdExpr(0, F(3, 4), 4), SurdExpr.rational(F(3, 2))) == 0
+    assert cmp_surd(SurdExpr(0, 1, 4), SurdExpr(2, 0, 0)) == 0
+    assert cmp_surd(SurdExpr(0, 1, 2), SurdExpr(0, 1, 3)) == -1
     # dependent radicands: sqrt(8) = 2 sqrt(2)
-    assert cmp_surd(SurdExpr(0, 1, 8), SurdExpr(0, 2, 2)) == EQUAL
-    assert cmp_surd(SurdExpr(0, 1, 8), SurdExpr(0, 2, 3)) == LESS
-    assert cmp_surd(SurdExpr(1, 0, 0), SurdExpr(0, 1, 1)) == EQUAL
+    assert cmp_surd(SurdExpr(0, 1, 8), SurdExpr(0, 2, 2)) == 0
+    assert cmp_surd(SurdExpr(0, 1, 8), SurdExpr(0, 2, 3)) == -1
+    assert cmp_surd(SurdExpr(1, 0, 0), SurdExpr(0, 1, 1)) == 0
     assert surd_sign(0, 0, 7) == 0
     assert surd_sign(-3, 1, 9) == 0  # -3 + sqrt(9)
     assert surd_sign(-3, 1, 8) == -1
@@ -207,7 +195,7 @@ def test_floor_from_sign_gallops_from_any_guess(x, guess):
     assert len(tests) <= 2 * abs(math.floor(x) - guess).bit_length() + 3
 
 
-@pytest.mark.parametrize("sign", [GREATER, EQUAL, LESS])
+@pytest.mark.parametrize("sign", [1, 0, -1])
 @pytest.mark.parametrize("guess", [0, -7, 10**45, -(10**400)])
 def test_floor_from_sign_rejects_an_oracle_that_never_changes_sign(sign, guess):
     start = time.perf_counter()
@@ -225,9 +213,9 @@ def test_cmp_agrees_with_rationals_on_perfect_squares(a, b):
     # with n = 9 the surd collapses to a rational: a + 3b
     lhs = SurdExpr(a, b, 9)
     rhs = SurdExpr.rational(a + 3 * b)
-    assert cmp_surd(lhs, rhs) == EQUAL
+    assert cmp_surd(lhs, rhs) == 0
     shifted = SurdExpr.rational(a + 3 * b + F(1, 10**9))
-    assert cmp_surd(lhs, shifted) == LESS
+    assert cmp_surd(lhs, shifted) == -1
 
 
 def test_double_surd_random_oracle():
@@ -251,10 +239,10 @@ def test_double_surd_random_oracle():
 
 
 def test_double_surd_exact_cancellations():
-    # b^2 m = d^2 n with matched rational parts must compare EQUAL
-    assert cmp_surd(SurdExpr(F(1, 3), 2, 18), SurdExpr(F(1, 3), 6, 2)) == EQUAL
-    assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(5, 3, 2)) == EQUAL
-    assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(4, 3, 2)) == GREATER
+    # b^2 m = d^2 n with matched rational parts must compare equal
+    assert cmp_surd(SurdExpr(F(1, 3), 2, 18), SurdExpr(F(1, 3), 6, 2)) == 0
+    assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(5, 3, 2)) == 0
+    assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(4, 3, 2)) == 1
 
 
 def test_surd_floor_random_oracle():
