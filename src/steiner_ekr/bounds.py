@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError
-from .exactnum import CubeRootBound, SurdExpr, cmp_surd, icbrt_floor, surd_floor, surd_sign
+from .exactnum import CubeRootBound, SurdExpr, cmp_surd, surd_floor, surd_sign
 
 __all__ = [
     "BoundReport",
@@ -47,8 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    formula: str
-    inputs: dict
+    """A bound's exact value and its floor.
+
+    active_branch is the counting bound's larger branch (1 or 2); the other
+    bounds leave it None.
+    """
+
     value: object  # Fraction, int, SurdExpr, or CubeRootBound
     floor_value: int
     active_branch: int | None = None
@@ -56,7 +60,12 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SweepCertificate:
-    check: str
+    """What a sweep covered and every case that failed; certified when none did.
+
+    ranges names the parameter ranges the sweep ran over, total_cases counts
+    the cases it checked, and failures holds one tuple per failing case.
+    """
+
     ranges: dict
     total_cases: int
     failures: tuple = field(default_factory=tuple)
@@ -90,7 +99,7 @@ def multiplicity_cap_bound(k: int, max_mult: int) -> int:
     return max_mult * k - k + 1
 
 
-def _counting(formula: str, inputs: dict, k: int, deficit: int, excess: int) -> BoundReport:
+def _counting(k: int, deficit: int, excess: int) -> BoundReport:
     """The two-branch counting bound at r = (k-1)^2 - deficit; a tie keeps branch 1."""
     if k < 3:
         raise DomainError("counting bound needs block size at least 3")
@@ -106,7 +115,7 @@ def _counting(formula: str, inputs: dict, k: int, deficit: int, excess: int) -> 
         + b * (b + k * k + R - 2) / (k * (k - 2))
     )
     value, active = (branch2, 2) if branch2 > branch1 else (branch1, 1)
-    return BoundReport(formula, inputs, value, math.floor(value), active)
+    return BoundReport(value, math.floor(value), active)
 
 
 def counting_bound(k: int, r: int, excess: int) -> BoundReport:
@@ -116,8 +125,7 @@ def counting_bound(k: int, r: int, excess: int) -> BoundReport:
     denominators are a genuine domain edge, not a removable one, so k < 3 is
     rejected outright.
     """
-    inputs = {"k": int(k), "r": int(r), "excess": int(excess)}
-    return _counting("counting", inputs, k, (k - 1) ** 2 - r, excess)
+    return _counting(k, (k - 1) ** 2 - r, excess)
 
 
 def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
@@ -126,8 +134,7 @@ def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
     Negative deficits are allowed; they correspond to r above (k-1)^2.
     Agrees with counting_bound(k, (k-1)^2 - deficit, excess) identically.
     """
-    inputs = {"k": int(k), "deficit": int(deficit), "excess": int(excess)}
-    return _counting("counting-deficit", inputs, k, deficit, excess)
+    return _counting(k, deficit, excess)
 
 
 def cover_range_submax(k: int, shortfall: int) -> tuple[Fraction, Fraction]:
@@ -229,7 +236,7 @@ def certify_moment_inequality(
             raise BudgetExceeded(f"moment search passed {budget} cases", count=cases)
         if lhs > rhs:
             failures.append(tuple(ns[1:]) + (0,) * (l - width))
-    return SweepCertificate("moments", ranges, cases, tuple(failures))
+    return SweepCertificate(ranges, cases, tuple(failures))
 
 
 def replication_threshold(k: int, r: int) -> ReplicationVerdict:
@@ -245,7 +252,12 @@ def replication_threshold(k: int, r: int) -> ReplicationVerdict:
 
 
 def near_extremal_cutoff(k: int) -> SurdExpr:
-    """k^2 - 3k + 2 + (3/4) sqrt(k), the lower edge of the classified window."""
+    """k^2 - 3k + 2 + (3/4) sqrt(k), the lower edge of the classified window.
+
+    The window is set up for k >= 4 only; a smaller k raises DomainError.
+    """
+    if k < 4:
+        raise DomainError("near-extremal window needs block size at least 4")
     return SurdExpr(k * k - 3 * k + 2, Fraction(3, 4), k)
 
 
@@ -256,11 +268,10 @@ def near_extremal_threshold(k: int, r: int) -> NearExtremalVerdict:
     comparison.  (r,k)=(8,4) sits inside the window but only the size bound
     holds there, not the uniqueness statement.
     """
-    if k < 4:
-        raise DomainError("near-extremal window needs block size at least 4")
+    cutoff = near_extremal_cutoff(k)
     if r > k * k - k:
         return NearExtremalVerdict.OUTSIDE
-    if cmp_surd(SurdExpr.rational(r), near_extremal_cutoff(k)) < 0:
+    if cmp_surd(SurdExpr.rational(r), cutoff) < 0:
         return NearExtremalVerdict.OUTSIDE
     if (k, r) == (4, 8):
         return NearExtremalVerdict.BOUND_ONLY
@@ -303,9 +314,7 @@ def sweep_deficit_grid(k) -> SweepCertificate:
             cert = sweep_deficit_grid(kk)
             cases += cert.total_cases
             failures.extend(cert.failures)
-        return SweepCertificate(
-            "deficit-grid", {"k": sorted(DEFICIT_CAPS)}, cases, tuple(failures)
-        )
+        return SweepCertificate({"k": sorted(DEFICIT_CAPS)}, cases, tuple(failures))
     if k not in DEFICIT_CAPS:
         raise DomainError(f"no tabulated deficit cap for k={k}")
     cap = DEFICIT_CAPS[k]
@@ -329,9 +338,7 @@ def sweep_deficit_grid(k) -> SweepCertificate:
             break
     else:
         failures.append(("sharpness", k, R))
-    return SweepCertificate(
-        "deficit-grid", {"k": k, "deficit_cap": cap}, cases, tuple(failures)
-    )
+    return SweepCertificate({"k": k, "deficit_cap": cap}, cases, tuple(failures))
 
 
 # -- large-k surd sweep ------------------------------------------------------
@@ -353,7 +360,7 @@ def _axis_limit(k: int) -> SurdExpr:
     return SurdExpr(-2 * k, Fraction(4 * k, 3) - 2, k)
 
 
-def default_c_sampler(k: int) -> tuple[int, ...]:
+def _c_sampler(k: int) -> tuple[int, ...]:
     """Extremes plus midpoint of 1..floor(C_k)."""
     top = surd_floor(_axis_limit(k))
     return tuple(sorted({1, top // 2, top}))
@@ -382,7 +389,7 @@ def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
     cases = 0
     for k in range(14, k_max + 1):
         denom = 4 * (k - 1)
-        for c in default_c_sampler(k):
+        for c in _c_sampler(k):
             rhs = _window_edge(k, c)
             for b in (0, c):
                 cases += 1
@@ -400,7 +407,6 @@ def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
         elif surd_sign(k**3 - 7 * k * k + 10 * k - 2, -1, disc0) >= 0:  # times 4(k-1) > 0
             failures.append(("second", k))
     return SweepCertificate(
-        "large-k",
         {"k_min": 14, "k_max": k_max, "b_grid": "extremes", "c_grid": "extremes+midpoint"},
         cases,
         tuple(failures),
@@ -450,7 +456,7 @@ def unital_counting_bound(q: int, excess: int) -> BoundReport:
     """Counting bound specialized to unital parameters (k = q+1, r = q^2, so deficit 0)."""
     if q < 2:
         raise DomainError("unital order must be at least 2")
-    return _counting("unital-counting", {"q": q, "excess": int(excess)}, q + 1, 0, excess)
+    return _counting(q + 1, 0, excess)
 
 
 def unital_second_max_bound(q: int) -> BoundReport:
@@ -458,19 +464,13 @@ def unital_second_max_bound(q: int) -> BoundReport:
 
     q^2 - q + 1 + q^(2/3) - (2/3) q^(1/3) for q >= 5; the small orders have
     sharper tabulated values.  The floor is certified by exact sign tests of
-    the cubic-root expression, with the integer cube roots of q^2 and q
-    reported alongside.
+    the cubic-root expression.
     """
     if q < 3:
         raise DomainError("second-largest unital bound starts at q = 3")
     if q == 3:
-        return BoundReport("unital-second", {"q": 3}, 8, 8)
+        return BoundReport(8, 8)
     if q == 4:
-        return BoundReport("unital-second", {"q": 4}, 13, 13)
+        return BoundReport(13, 13)
     expr = CubeRootBound(q, Fraction(q * q - q + 1), Fraction(1), Fraction(-2, 3))
-    inputs = {
-        "q": q,
-        "cbrt_bracket_q2": icbrt_floor(q * q),
-        "cbrt_bracket_q": icbrt_floor(q),
-    }
-    return BoundReport("unital-second", inputs, expr, expr.exact_floor())
+    return BoundReport(expr, expr.exact_floor())

@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from .errors import DomainError
+
 __all__ = ["canonical_code", "canonical_set_system", "concurrency_classes"]
 
 
@@ -104,8 +106,15 @@ def _closed_form(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], .
 
 
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of a set system over ground set 0..s-1."""
+    """Canonical form of a set system over ground set 0..s-1.
+
+    A negative s, or an element outside 0..s-1, raises DomainError.
+    """
     subs = [frozenset(S) for S in subsets]
+    if s < 0:
+        raise DomainError("ground set size must be nonnegative")
+    if not frozenset().union(*subs) <= frozenset(range(s)):
+        raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if s == 0:
         return ()
     return _closed_form(s, subs) or _search(s, subs)

@@ -18,7 +18,7 @@ from . import bounds, designs
 from .designs import Design, load_design, save_design
 from .ekr import classify, enumerate_maximal_ekr, find_onan, max_ekr_size
 from .errors import DomainError
-from .exactnum import CubeRootBound, SurdExpr
+from .exactnum import CubeRootBound, SurdExpr, icbrt_floor
 
 _BUILTINS = {
     "projective": designs.projective_plane,
@@ -83,28 +83,25 @@ def _value(x):
     return str(x)
 
 
-def _report(formula, inputs, value, floor_value, active_branch=None) -> dict:
-    """A bound's payload, from a BoundReport's fields; no active_branch key when it is None."""
-    out = {
-        "formula": formula,
-        "inputs": _value(inputs),
-        "value": _value(value),
-        "floor_value": floor_value,
-    }
-    if active_branch is not None:
-        out["active_branch"] = active_branch
-    return out
+def _fields(result) -> dict:
+    """A bound or sweep result as payload fields in JSON form.
 
-
-def _certificate(cert) -> dict:
-    """A SweepCertificate's payload."""
-    return {
-        "check": cert.check,
-        "ranges": _value(cert.ranges),
-        "total_cases": cert.total_cases,
-        "certified": cert.certified,
-        "failures": _value(cert.failures),
-    }
+    A BoundReport gives value and floor_value, then active_branch when it is
+    set; a SweepCertificate gives ranges, total_cases, certified and failures.
+    """
+    if isinstance(result, bounds.BoundReport):
+        fields = {"value": result.value, "floor_value": result.floor_value}
+        if result.active_branch is not None:
+            fields["active_branch"] = result.active_branch
+        result = fields
+    elif isinstance(result, bounds.SweepCertificate):
+        result = {
+            "ranges": result.ranges,
+            "total_cases": result.total_cases,
+            "certified": result.certified,
+            "failures": result.failures,
+        }
+    return _value(result)
 
 
 def _scalar(v) -> str:
@@ -288,84 +285,66 @@ def _cmd_max_size(args) -> int:
 # -- parameter verbs ---------------------------------------------------------
 
 
-def _multiplicity_cap(a) -> dict:
-    value = bounds.multiplicity_cap_bound(a.k, a.max_mult)
-    return _report("multiplicity-cap", {"k": a.k, "max_mult": a.max_mult}, value, value)
+def _unital_second(a):
+    """The bound, with the integer cube roots of q^2 and q beside a cube-root value."""
+    report = bounds.unital_second_max_bound(a.q)
+    if not isinstance(report.value, CubeRootBound):
+        return report
+    brackets = {"cbrt_bracket_q2": icbrt_floor(a.q * a.q), "cbrt_bracket_q": icbrt_floor(a.q)}
+    return {"inputs": {"q": a.q, **brackets}, **_fields(report)}
 
 
-def _cover_range(a) -> dict:
-    lo, hi = bounds.cover_range_submax(a.k, a.shortfall)
-    return {
-        "formula": "cover-range",
-        "inputs": {"k": a.k, "shortfall": a.shortfall},
-        "low": _value(lo),
-        "high": _value(hi),
-    }
-
-
-def _replication(a) -> dict:
-    verdict = bounds.replication_threshold(a.k, a.r)
-    return {
-        "formula": "replication",
-        "inputs": {"k": a.k, "r": a.r},
-        "threshold": a.k * a.k - a.k + 1,
-        "verdict": verdict.value,
-    }
-
-
-def _near_extremal(a) -> dict:
-    verdict = bounds.near_extremal_threshold(a.k, a.r)
-    return {
-        "formula": "near-extremal",
-        "inputs": {"k": a.k, "r": a.r},
-        "window_low": _value(bounds.near_extremal_cutoff(a.k)),
-        "window_high": a.k * a.k - a.k,
-        "verdict": verdict.value,
-    }
-
-
-def _pencil_uniqueness(a) -> dict:
-    met = bounds.pencil_uniqueness_threshold(a.k, a.v)
-    return {
-        "formula": "pencil-uniqueness",
-        "inputs": {"k": a.k, "v": a.v},
-        "threshold": 1 + a.k * a.k * (a.k - 1),
-        "met": met,
-    }
-
-
-# formula -> (options it needs, payload builder); the --formula choices
+# formula -> (options it needs, result); the --formula choices.  The payload
+# is the formula, its inputs (the options listed here, unless the result
+# carries its own), then the result's fields.
 _FORMULAS = {
-    "counting": (
-        ["k", "r", "excess"],
-        lambda a: _report(**vars(bounds.counting_bound(a.k, a.r, a.excess))),
-    ),
+    "counting": (["k", "r", "excess"], lambda a: bounds.counting_bound(a.k, a.r, a.excess)),
     "counting-deficit": (
         ["k", "deficit", "excess"],
-        lambda a: _report(**vars(bounds.counting_bound_deficit(a.k, a.deficit, a.excess))),
+        lambda a: bounds.counting_bound_deficit(a.k, a.deficit, a.excess),
     ),
-    "multiplicity-cap": (["k", "max-mult"], _multiplicity_cap),
-    "cover-range": (["k", "shortfall"], _cover_range),
-    "replication": (["k", "r"], _replication),
-    "near-extremal": (["k", "r"], _near_extremal),
-    "unital-counting": (
-        ["q", "excess"],
-        lambda a: _report(**vars(bounds.unital_counting_bound(a.q, a.excess))),
+    "multiplicity-cap": (
+        ["k", "max-mult"],
+        lambda a: dict.fromkeys(
+            ["value", "floor_value"], bounds.multiplicity_cap_bound(a.k, a.max_mult)
+        ),
     ),
-    "unital-second": (["q"], lambda a: _report(**vars(bounds.unital_second_max_bound(a.q)))),
-    "pencil-uniqueness": (["k", "v"], _pencil_uniqueness),
+    "cover-range": (
+        ["k", "shortfall"],
+        lambda a: dict(zip(["low", "high"], bounds.cover_range_submax(a.k, a.shortfall))),
+    ),
+    "replication": (
+        ["k", "r"],
+        lambda a: {
+            "threshold": a.k * a.k - a.k + 1,
+            "verdict": bounds.replication_threshold(a.k, a.r).value,
+        },
+    ),
+    "near-extremal": (
+        ["k", "r"],
+        lambda a: {
+            "window_low": bounds.near_extremal_cutoff(a.k),
+            "window_high": a.k * a.k - a.k,
+            "verdict": bounds.near_extremal_threshold(a.k, a.r).value,
+        },
+    ),
+    "unital-counting": (["q", "excess"], lambda a: bounds.unital_counting_bound(a.q, a.excess)),
+    "unital-second": (["q"], _unital_second),
+    "pencil-uniqueness": (
+        ["k", "v"],
+        lambda a: {
+            "threshold": 1 + a.k * a.k * (a.k - 1),
+            "met": bounds.pencil_uniqueness_threshold(a.k, a.v),
+        },
+    ),
     "discriminant": (
         ["k", "excess"],
-        lambda a: {
-            "formula": "discriminant",
-            "inputs": {"k": a.k, "b": a.excess},
-            "value": bounds.discriminant(a.excess, a.k),
-        },
+        lambda a: {"inputs": {"k": a.k, "b": a.excess}, "value": bounds.discriminant(a.excess, a.k)},
     ),
 }
 
 
-def _deficit_grid(a) -> dict:
+def _deficit_grid(a) -> bounds.SweepCertificate:
     if a.k == "all":
         k = "all"
     else:
@@ -375,33 +354,40 @@ def _deficit_grid(a) -> dict:
             raise argparse.ArgumentTypeError(
                 f"--k must be an integer or 'all', got {a.k!r}"
             ) from None
-    return _certificate(bounds.sweep_deficit_grid(k))
+    return bounds.sweep_deficit_grid(k)
 
 
-# check -> (options it needs, payload builder); the --check choices
+# check -> (options it needs, certificate); the --check choices.  The payload
+# is the check, then the certificate's fields.
 _CHECKS = {
     "deficit-grid": (["k"], _deficit_grid),
-    "large-k": ([], lambda a: _certificate(bounds.sweep_large_k(k_max=a.k_max, budget=a.budget))),
+    "large-k": ([], lambda a: bounds.sweep_large_k(k_max=a.k_max, budget=a.budget)),
     "moments": (
         ["l", "a", "excess", "r"],
-        lambda a: _certificate(
-            bounds.certify_moment_inequality(a.l, a.a, a.excess, a.r, budget=a.budget)
-        ),
+        lambda a: bounds.certify_moment_inequality(a.l, a.a, a.excess, a.r, budget=a.budget),
     ),
 }
 
 
 def _cmd_table(parser, table: dict, choice: str):
-    """bound and sweep: check the chosen entry's options, then emit its payload."""
+    """bound and sweep: check the chosen entry's options, then emit its payload.
+
+    The payload opens with the entry's name under ``choice``; a formula's
+    ``inputs`` follow, the options its entry lists unless its result gives them.
+    """
 
     def run(args) -> int:
         name = getattr(args, choice)
         needs, build = table[name]
-        missing = [n for n in needs if getattr(args, n.replace("-", "_")) is None]
+        given = {n: getattr(args, n.replace("-", "_")) for n in needs}
+        missing = [n for n, v in given.items() if v is None]
         if missing:
             parser.error(f"{choice} '{name}' needs {' '.join('--' + n for n in missing)}")
+        head = {choice: name}
+        if choice == "formula":
+            head["inputs"] = {n.replace("-", "_"): v for n, v in given.items()}
         try:
-            return _emit(args.format, build(args))
+            return _emit(args.format, {**head, **_fields(build(args))})
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
         except ValueError as exc:

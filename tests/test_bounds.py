@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from steiner_ekr.bounds import (
     DEFICIT_CAPS,
+    _c_sampler,
     _count_vectors,
     NearExtremalVerdict,
     ReplicationVerdict,
@@ -27,7 +28,6 @@ from steiner_ekr.bounds import (
     counting_bound,
     counting_bound_deficit,
     cover_range_submax,
-    default_c_sampler,
     deficit_cap,
     deficit_interval,
     discriminant,
@@ -428,6 +428,17 @@ def test_near_extremal_threshold_windows():
         near_extremal_threshold(3, 5)
 
 
+@pytest.mark.parametrize("k", [-4, 0, 3])
+def test_near_extremal_window_starts_at_k_4(k):
+    # below k = 4 there is no window: the edge and the verdict refuse alike
+    # (at k = -4 the edge's radicand would be negative)
+    message = "near-extremal window needs block size at least 4"
+    with pytest.raises(DomainError, match=message):
+        near_extremal_cutoff(k)
+    with pytest.raises(DomainError, match=message):
+        near_extremal_threshold(k, 9)
+
+
 def test_pencil_uniqueness_threshold():
     assert pencil_uniqueness_threshold(3, 19)
     assert not pencil_uniqueness_threshold(3, 18)
@@ -488,7 +499,7 @@ def test_discriminant_spot_values():
 
 
 def test_default_c_sampler():
-    assert default_c_sampler(14) == (1, 17, 34)
+    assert _c_sampler(14) == (1, 17, 34)
 
 
 def test_sweep_large_k_certifies():
@@ -598,7 +609,6 @@ def test_unital_counting_specializes_general_bound():
             value, active = _unital_counting_closed_form(q, b)
             assert (rep.value, rep.active_branch) == (value, active), (q, b)
             assert rep.floor_value == math.floor(value)
-            assert rep.inputs == {"q": q, "excess": b} and rep.formula == "unital-counting"
     with pytest.raises(DomainError):
         unital_counting_bound(1, 0)
 
@@ -613,8 +623,6 @@ def test_unital_second_max_small_orders():
 def test_unital_second_max_cube_root_floor():
     rep = unital_second_max_bound(5)
     assert rep.floor_value == 22
-    assert rep.inputs["cbrt_bracket_q2"] == 2  # floor cbrt 25
-    assert rep.inputs["cbrt_bracket_q"] == 1
     # q = 27 makes the irrational parts collapse: 703 + 9 - 2 = 710 exactly
     rep = unital_second_max_bound(27)
     assert rep.floor_value == 710
@@ -671,10 +679,7 @@ def test_cube_root_bound_floor_takes_three_sign_tests(radicand, const, sq, lin):
 @given(st.integers(min_value=5, max_value=10**40))
 @settings(max_examples=200, deadline=DEADLINE_MS)
 def test_unital_second_max_matches_integer_cube_roots(q):
-    rep = unital_second_max_bound(q)
-    assert rep.floor_value == _unital_second_floor(q)
-    assert rep.inputs["cbrt_bracket_q"] == _icbrt(q)
-    assert rep.inputs["cbrt_bracket_q2"] == _icbrt(q * q)
+    assert unital_second_max_bound(q).floor_value == _unital_second_floor(q)
 
 
 def test_large_inputs_answer_quickly():

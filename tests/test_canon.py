@@ -22,6 +22,7 @@ from steiner_ekr.canon import (
     canonical_set_system,
     concurrency_classes,
 )
+from steiner_ekr.errors import DomainError
 
 
 def _as_graph(family):
@@ -78,6 +79,16 @@ def test_canonical_set_system_spot():
         (0, 2),
         (1, 2),
     )
+
+
+@pytest.mark.parametrize(
+    "s, subsets",
+    [(3, [[-1, 0]]), (3, [[0, 1, 2, -1]]), (0, [[0]]), (2, [[0, 5]]), (-1, [])],
+)
+def test_canonical_set_system_refuses_elements_outside_the_ground_set(s, subsets):
+    # -1 would index from the end and 5 past it: each once gave a wrong form or an IndexError
+    with pytest.raises(DomainError):
+        canonical_set_system(s, subsets)
 
 
 @st.composite

@@ -312,6 +312,25 @@ def test_bound_csv(capsys):
             },
         ),
         (
+            ["bound", "--formula", "unital-second", "--q", "27"],
+            {
+                "formula": "unital-second",
+                "inputs": {"q": 27, "cbrt_bracket_q2": 9, "cbrt_bracket_q": 3},
+                "value": {"const": "703/1", "coef_cbrt_sq": "1/1", "coef_cbrt": "-2/3", "radicand": 27},
+                "floor_value": 710,
+            },
+        ),
+        (
+            # a tabulated order: an integer value and no cube-root brackets
+            ["bound", "--formula", "unital-second", "--q", "3"],
+            {"formula": "unital-second", "inputs": {"q": 3}, "value": 8, "floor_value": 8},
+        ),
+        (
+            # --excess is the discriminant's b
+            ["bound", "--formula", "discriminant", "--k", "14", "--excess", "0"],
+            {"formula": "discriminant", "inputs": {"k": 14, "b": 0}, "value": 5005732},
+        ),
+        (
             ["bound", "--formula", "multiplicity-cap", "--k", "4", "--max-mult", "3"],
             {"formula": "multiplicity-cap", "inputs": {"k": 4, "max_mult": 3}, "value": 9, "floor_value": 9},
         ),
@@ -326,7 +345,15 @@ def test_bound_csv(capsys):
             },
         ),
     ],
-    ids=["counting", "unital-second", "multiplicity-cap", "deficit-grid"],
+    ids=[
+        "counting",
+        "unital-second",
+        "unital-second-27",
+        "unital-second-tabulated",
+        "discriminant",
+        "multiplicity-cap",
+        "deficit-grid",
+    ],
 )
 def test_json_payload(capsys, argv, payload):
     code, out, err = run(capsys, *argv, "--format", "json")

@@ -68,6 +68,31 @@ def _argvs():
     for check, inputs in sweep_inputs.items():
         for fmt in formats:
             out.append(["sweep", "--check", check, *inputs, "--format", fmt])
+    # exit 1: inputs outside each entry's domain
+    bound_refused = [
+        ["near-extremal", "--k", "-4", "--r", "9"],
+        ["near-extremal", "--k", "3", "--r", "9"],
+        ["counting-deficit", "--k", "2", "--deficit", "0", "--excess", "0"],
+        ["multiplicity-cap", "--k", "4", "--max-mult", "5"],
+        ["cover-range", "--k", "4", "--shortfall", "3"],
+        ["replication", "--k", "1", "--r", "3"],
+        ["pencil-uniqueness", "--k", "1", "--v", "3"],
+        ["unital-counting", "--q", "1", "--excess", "0"],
+    ]
+    sweep_refused = [
+        ["deficit-grid", "--k", "14"],
+        ["moments", "--l", "1", "--a", "2", "--excess", "1", "--r", "6"],
+        ["moments", "--l", "2", "--a", "99", "--excess", "1", "--r", "6"],
+        ["moments", "--l", "2", "--a", "2", "--excess", "-1", "--r", "6"],
+        ["large-k", "--k-max", "1000000", "--budget", "10"],
+    ]
+    out += [["bound", "--formula", *a] for a in bound_refused]
+    out += [["sweep", "--check", *a] for a in sweep_refused]
+    # the tabulated unital orders: no cube-root brackets
+    out += [
+        ["bound", "--formula", "unital-second", "--q", "3", "--format", "json"],
+        ["bound", "--formula", "unital-second", "--q", "4", "--format", "csv"],
+    ]
     out += [
         ["sweep", "--check", "deficit-grid", "--k", "all", "--format", "csv"],
         ["enumerate", "--design", "sts13:1", "--size-only", "--max-count", "201"],
