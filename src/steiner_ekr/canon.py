@@ -42,11 +42,22 @@ have the triangle form on k+1 members; any other family has no shape.
   takes colour 0 and the base colours 1..s-1.  The base's symmetric group
   preserves the system (for s = 3, all three pairs are alike), so every leaf
   has the code (0,1), (0,2), ..., (0,s-1), (1, ..., s-1).
+
+Every other system is searched once per process: a bounded memo keyed on s
+and the subsets as a sorted multiset returns the form of a system already
+searched.  A hit is exact, since the minimum leaf code depends only on that
+multiset: refinement ranks do not see the order of the subsets, leaf codes
+are sorted, and the prunes skip only codes that already occur.  Hits are
+common because many families of one type give the same labelled system, the
+classes written over member positions in block-index order: affine:5 has
+15,000 searched families and 280 distinct systems, and the 40 plane line
+sets of pg3:3 are one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -116,8 +127,17 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     if not frozenset().union(*subs) <= frozenset(range(s)):
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if s == 0:
-        return ()
-    return _closed_form(s, subs) or _search(s, subs)
+        return ((),) * len(subs)
+    return _closed_form(s, subs) or _memo_search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
+
+
+_MEMO_SIZE = 4096  # affine:5 searches 280 distinct systems
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo_search(s: int, key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """``_search`` memoised on the subsets as a sorted multiset."""
+    return _search(s, [frozenset(S) for S in key])
 
 
 def _search(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...]:

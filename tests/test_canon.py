@@ -15,7 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from steiner_ekr.canon import (
+    _closed_form,
     _individualize,
+    _memo_search,
     _refine,
     _search,
     canonical_code,
@@ -89,6 +91,13 @@ def test_canonical_set_system_refuses_elements_outside_the_ground_set(s, subsets
     # -1 would index from the end and 5 past it: each once gave a wrong form or an IndexError
     with pytest.raises(DomainError):
         canonical_set_system(s, subsets)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_empty_ground_set_keeps_each_empty_subset(count):
+    # as at s = 1, the form holds one () per subset given
+    assert canonical_set_system(0, [[]] * count) == ((),) * count
+    assert canonical_set_system(1, [[]] * count) == ((),) * count
 
 
 @st.composite
@@ -197,6 +206,47 @@ def test_pruned_search_matches_reference_on_random_systems(system):
     reference = _reference_form(s, subsets, 2000)
     assume(reference is not None)  # the symmetric corpus covers the large trees
     assert canonical_set_system(s, subsets) == reference
+
+
+# -- the memo under canonical_set_system ------------------------------------------
+
+
+@given(_set_systems(9, 8), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_memo_returns_what_a_fresh_search_returns(system, rng):
+    s, subsets = system
+    subs = [frozenset(S) for S in subsets]
+    fresh = _search(s, subs)
+    shuffled = rng.sample(subs, len(subs))
+    assert canonical_set_system(s, shuffled) == fresh
+    searched = _closed_form(s, subs) is None
+    hits = _memo_search.cache_info().hits
+    assert canonical_set_system(s, subs) == fresh
+    assert _memo_search.cache_info().hits == hits + searched
+    if subs:
+        # the key is a multiset: a repeated subset is a different system
+        doubled = subs + [rng.choice(subs)]
+        assert canonical_set_system(s, doubled) == _search(s, doubled) != fresh
+
+
+def _memo_counts(design, **kwargs):
+    import steiner_ekr as se
+
+    families = se.enumerate_maximal_ekr(design, **kwargs)
+    _memo_search.cache_clear()
+    se.classify(design, families)
+    info = _memo_search.cache_info()
+    return len(families), info.hits + info.misses, info.misses
+
+
+def test_memo_searches_each_labelled_system_once():
+    import steiner_ekr as se
+
+    # 40 point-pencils in closed form, and 40 plane line sets that are one
+    # labelled system at the builtin labelling
+    assert _memo_counts(se.pg3_line_design(3), min_size=13) == (80, 40, 1)
+    assert _memo_counts(se.affine_plane(4)) == (1024, 768, 16)
+    assert _memo_search.cache_info().maxsize is not None
 
 
 def test_large_pencil_is_fast():
