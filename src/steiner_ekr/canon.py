@@ -26,22 +26,12 @@ isomorphism II", arXiv:1301.1493):
 Together they keep highly symmetric inputs (pencils, full plane line sets)
 cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
 
-Point-pencils and triangles, which the paper's dichotomy makes the common
-case, skip the search: the set system itself is recognised and its form is
-written down, the minimum the search would return.  The same two forms are
-the shape rule of ``shape``: a family of two or more members is a
-point-pencil when its classes have the pencil form, and a triangle when they
-have the triangle form on k+1 members; any other family has no shape.
-
-- Pencil: one class holding all s positions.  Every permutation preserves
-  it, so every leaf has the code (0, 1, ..., s-1).
-- Triangle: a base class of s-1 positions, and the s-1 pairs that join the
-  remaining apex position to each of them.  For s > 3 refinement ranks the
-  pairs below the base (size 2 < s-1), so the apex, on s-1 pairs, sorts
-  below every base position, which lies on one pair and the base: the apex
-  takes colour 0 and the base colours 1..s-1.  The base's symmetric group
-  preserves the system (for s = 3, all three pairs are alike), so every leaf
-  has the code (0,1), (0,2), ..., (0,s-1), (1, ..., s-1).
+One system skips the search: a single class holding the whole ground set,
+the concurrency classes of a point-pencil.  Every permutation preserves it,
+so every leaf has the code (0, 1, ..., s-1).  The shortcut stays because the
+first search of a large pencil is not free (5.3 ms at s = 13), while the
+check costs one comparison.  Which families are pencils or triangles is
+``ekr.shape``'s business, read from block masks; this module only canonises.
 
 Every other system is searched once per process: a bounded memo keyed on s
 and the subsets as a sorted multiset returns the form of a system already
@@ -49,9 +39,9 @@ searched.  A hit is exact, since the minimum leaf code depends only on that
 multiset: refinement ranks do not see the order of the subsets, leaf codes
 are sorted, and the prunes skip only codes that already occur.  Hits are
 common because many families of one type give the same labelled system, the
-classes written over member positions in block-index order: affine:5 has
-15,000 searched families and 280 distinct systems, and the 40 plane line
-sets of pg3:3 are one.
+classes written over member positions in block-index order: the triangles
+of a design give at most k + 1 systems, one per position of the apex, and
+the 40 plane line sets of pg3:3 are one.
 """
 
 from __future__ import annotations
@@ -100,22 +90,6 @@ def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) ->
                 frontier.append(z)
 
 
-def _closed_form(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...] | None:
-    """The search's form of a pencil or a triangle, or None for any other system."""
-    ground = frozenset(range(s))
-    if len(subs) == 1:
-        return (tuple(range(s)),) if subs[0] == ground else None
-    if len(subs) != s:
-        return None
-    base = max(subs, key=len)
-    if len(base) != s - 1:
-        return None
-    apex = ground - base
-    if set(subs) != {base} | {apex | {e} for e in base}:
-        return None
-    return tuple((0, e) for e in range(1, s)) + (tuple(range(1, s)),)
-
-
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a set system over ground set 0..s-1.
 
@@ -128,10 +102,12 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if s == 0:
         return ((),) * len(subs)
-    return _closed_form(s, subs) or _memo_search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
+    if len(subs) == 1 and len(subs[0]) == s:
+        return (tuple(range(s)),)
+    return _memo_search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
 
 
-_MEMO_SIZE = 4096  # affine:5 searches 280 distinct systems
+_MEMO_SIZE = 4096  # affine:5 searches 286 distinct systems, 6 of them triangles
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -232,13 +208,3 @@ def canonical_code(family) -> str:
     body = ";".join(",".join(map(str, S)) for S in form)
     return f"k{family.design.k}:s{s}:{body}"
 
-
-def shape(family) -> str | None:
-    """The family's shape by the rule above: "point-pencil", "triangle" or None."""
-    s, subs = concurrency_classes(family)
-    form = _closed_form(s, subs) if s >= 2 else None
-    if form is None:
-        return None
-    if len(form) == 1:
-        return "point-pencil"
-    return "triangle" if s == family.design.k + 1 else None

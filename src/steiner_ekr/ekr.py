@@ -4,8 +4,9 @@ Block families are bit vectors over block indices, and the pairwise
 intersection relation is one adjacency bitmask per block, so the maximality
 and enumeration loops are word-parallel.  A point-pencil is the design's
 pencil mask of its point, and a triangle is the part of that pencil meeting
-its base block, plus the base; ``canon.shape`` tells the two shapes apart
-from every other family.
+its base block, plus the base.  ``shape`` tells the two shapes apart from
+every other family by comparing the family with those masks, and builds no
+concurrency classes.
 
 Enumeration is Bron-Kerbosch with Tomita pivoting from a root whose
 candidates are all blocks.  Every node branches in block index order and its
@@ -21,10 +22,11 @@ and sorted by index tuple at the end.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .canon import canonical_code, shape
+from .canon import canonical_code
 from .designs import Design
 from .errors import BudgetExceeded, DomainError
 
@@ -184,8 +186,48 @@ def triangle(design: Design, point: int, block: int) -> BlockSet:
         raise DomainError(f"block index {block} outside 0..{design.b - 1}")
     if point in design.blocks[block]:
         raise PointOnBlock(f"point {point} lies on block {block}")
-    meets = design.pencil_masks[point] & design.intersection_adjacency[block]
-    return BlockSet(design, meets | 1 << block)
+    return BlockSet(design, _triangle_mask(design, point, block))
+
+
+def _triangle_mask(design: Design, point: int, block: int) -> int:
+    """The blocks through point that meet block, plus block, for point off block."""
+    return design.pencil_masks[point] & design.intersection_adjacency[block] | 1 << block
+
+
+def shape(family: BlockSet) -> str | None:
+    """The family's shape from its block masks: "point-pencil", "triangle" or None.
+
+    A family of s >= 2 members is a point-pencil when it lies in the pencil
+    of one point, the point its first two members share.  It is a triangle
+    when s = k + 1 and, for a point p shared by two of its first three
+    members, exactly one member i is off p's pencil and the family is
+    ``triangle(design, p, i)``.  Two of any three members of a triangle lie
+    in its base, so one such p is the base's point, and the equality alone
+    shows that i is the one member off p's pencil.  A family with two
+    disjoint members among its first three has no shape, since both shapes
+    are intersecting.
+    """
+    design = family.design
+    mask = family.mask
+    s = mask.bit_count()
+    if s < 2:
+        return None
+    points = []
+    for a, b in itertools.combinations(family.indices()[:3], 2):
+        common = design.block_masks[a] & design.block_masks[b]
+        if not common:
+            return None
+        points.append(common.bit_length() - 1)
+    pencils = design.pencil_masks
+    if not mask & ~pencils[points[0]]:
+        return "point-pencil"
+    if s == design.k + 1:
+        for p in points:
+            # the last member off p's pencil; a triangle with base point p has one
+            i = (mask & ~pencils[p]).bit_length() - 1
+            if mask == _triangle_mask(design, p, i):
+                return "triangle"
+    return None
 
 
 def cover_profile(family: BlockSet) -> CoverProfile:
@@ -419,6 +461,11 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
 # -- classification ---------------------------------------------------------
 
 
+def _check_design(design: Design, family: BlockSet) -> None:
+    if family.design is not design:
+        raise DomainError("family belongs to another design than the one given")
+
+
 def _label(family: BlockSet, code: str) -> str:
     kind = shape(family)
     size = len(family)
@@ -434,10 +481,12 @@ def classify(design: Design, families) -> list[tuple[EkrType, int]]:
     """Group families by the isomorphism type of their induced structures.
 
     Returns (type, count) per type, by size descending and then canonical
-    code; each type's witness is its first family in input order.
+    code; each type's witness is its first family in input order.  A family
+    of another design raises DomainError.
     """
     groups: dict[str, list] = {}
     for fam in families:
+        _check_design(design, fam)
         code = canonical_code(fam)
         entry = groups.get(code)
         if entry is None:
@@ -464,7 +513,8 @@ def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
     The first family that is neither shape, a non-intersecting one included,
     is returned as the counterexample.  Raises HasONan when the design
     contains an O'Nan configuration; in that case the dichotomy is not
-    promised and the caller should inspect the configuration instead.
+    promised and the caller should inspect the configuration instead.  A
+    family of another design raises DomainError.
     """
     witness = find_onan(design)
     if witness is not None:
@@ -474,6 +524,7 @@ def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:
     pencils = 0
     triangles = 0
     for fam in families:
+        _check_design(design, fam)
         kind = shape(fam)
         if kind == "point-pencil":
             pencils += 1

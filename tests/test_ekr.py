@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steiner_ekr as se
-from steiner_ekr.canon import canonical_code
+from steiner_ekr.canon import canonical_code, concurrency_classes
 from steiner_ekr.ekr import (
     BlockSet,
     HasONan,
@@ -35,6 +35,7 @@ from steiner_ekr.ekr import (
     max_ekr_size,
     maximal_family_sizes,
     point_pencil,
+    shape,
     triangle,
 )
 from steiner_ekr.errors import BudgetExceeded, DomainError
@@ -647,6 +648,96 @@ def test_families_below_two_members_have_no_shape(suite, members):
     assert verdict.counterexample == fam
 
 
+def test_classify_refuses_families_of_another_design(suite):
+    # the O'Nan check would read K_5 and the shapes the unital's families
+    families = suite.families("unital3")
+    with pytest.raises(DomainError):
+        classify(se.complete_graph(5), families)
+    with pytest.raises(DomainError):
+        classify_onan_free(se.complete_graph(5), families)
+    # an equal design built again is another design too
+    again = se.hermitian_unital(3)
+    assert again.blocks == suite.design("unital3").blocks
+    with pytest.raises(DomainError):
+        classify_onan_free(again, families)
+
+
+# -- the shape rule against the concurrency classes -----------------------------
+
+
+def _class_shape(family):
+    """The shape rule read from concurrency classes, the reference for ekr.shape.
+
+    A point-pencil is one class holding every member.  A triangle is k+1
+    members whose classes are a base of k of them and the k pairs that join
+    the remaining apex to each base member.
+    """
+    s, classes = concurrency_classes(family)
+    if s < 2:
+        return None
+    ground = frozenset(range(s))
+    if classes == [ground]:
+        return "point-pencil"
+    if s != family.design.k + 1 or len(classes) != s:
+        return None
+    base = max(classes, key=len)
+    apex = ground - base
+    if len(base) != s - 1 or set(classes) != {base} | {apex | {e} for e in base}:
+        return None
+    return "triangle"
+
+
+SHAPE_DESIGNS = {
+    d.name: d
+    for d in (
+        se.complete_graph(3),
+        se.complete_graph(5),
+        se.complete_graph(7),
+        se.sts13(1),
+        se.sts13(2),
+        se.hermitian_unital(3),
+        se.affine_plane(4),
+        se.projective_plane(3),
+        se.pg3_line_design(2),
+    )
+}
+SHAPE_DESIGNS |= {
+    f"{name}-relabelled": _relabelled(d, seed) for seed, (name, d) in enumerate(SHAPE_DESIGNS.items())
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_DESIGNS))
+def test_shape_matches_the_class_rule_on_maximal_families(name):
+    for fam in enumerate_maximal_ekr(SHAPE_DESIGNS[name]):
+        assert shape(fam) == _class_shape(fam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shape_matches_the_class_rule_on_block_subsets(data):
+    design = data.draw(st.sampled_from(list(SHAPE_DESIGNS.values())))
+    if data.draw(st.booleans()):
+        # any few blocks, often fewer than two and often not intersecting
+        order = data.draw(st.permutations(range(design.b)))
+        members = set(order[: data.draw(st.integers(0, design.k + 2))])
+    else:
+        # a pencil or a triangle, sometimes with one block dropped, added or swapped
+        point = data.draw(st.integers(0, design.v - 1))
+        off = [i for i, bl in enumerate(design.blocks) if point not in bl]
+        if data.draw(st.booleans()):
+            fam = point_pencil(design, point)
+        else:
+            fam = triangle(design, point, data.draw(st.sampled_from(off)))
+        members = set(fam)
+        mutation = data.draw(st.sampled_from(("none", "drop", "add", "swap")))
+        if mutation in ("drop", "swap"):
+            members.discard(data.draw(st.sampled_from(sorted(members))))
+        if mutation in ("add", "swap"):
+            members.add(data.draw(st.integers(0, design.b - 1)))
+    fam = BlockSet(design, members)
+    assert shape(fam) == _class_shape(fam)
+
+
 def _classification_digest() -> str:
     """sha256 of the classify rows and classify_onan_free verdicts of DIGEST_CORPUS."""
     record = []
@@ -667,7 +758,8 @@ def _classification_digest() -> str:
     return hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest()
 
 
-# Recorded with the profile-based shape rule that canon's closed forms replaced.
+# Recorded with an earlier, profile-based shape rule, so the digest pins
+# ekr.shape's verdicts to a rule independent of block masks.
 CLASSIFICATION_DIGEST = "1bc7ec748cae924b72072ee576825d9269cea1b495c963d732be7cc9ce6ebb0f"
 
 
