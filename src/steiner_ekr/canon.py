@@ -8,20 +8,22 @@ set system therefore canonises the whole induced structure.
 
 The search is individualisation-refinement over block positions: refine to a
 stable colouring, individualise each member of the first non-singleton cell
-in colour order, recurse.  A leaf's code is the sorted class list relabelled
-by its discrete colouring, and the canonical form is the minimum leaf code
-over the whole tree.  Two prunes skip only subtrees whose codes already
-occur, so the minimum never changes (McKay & Piperno, "Practical graph
-isomorphism II", arXiv:1301.1493):
+in colour order, recurse.  Refinement returns dense ranks 0..m-1, so a cell
+is found by counting colours, and individualising x in cell c is arithmetic:
+x keeps c, its cell-mates take c + 1, and every higher colour moves up one.
+A leaf's code is the sorted class list relabelled by its discrete colouring,
+and the canonical form is the minimum leaf code over the whole tree.  Two
+prunes skip only subtrees whose codes already occur, so the minimum never
+changes (McKay & Piperno, "Practical graph isomorphism II", arXiv:1301.1493):
 
 - Backjumping.  A leaf whose code equals the best one yields an automorphism
   that maps its path onto the best leaf's path.  It fixes the two paths'
   common prefix and carries the rest of the current subtree onto the sibling
   subtree searched before, so the search resumes at the branch point.
-- Per-node orbits.  Each node keeps the automorphisms found so far that fix
-  its individualised prefix, and the closure of its visited children under
-  them; a child in that closure is skipped.  Both grow only when a new
-  automorphism turns up.
+- Per-node orbits.  Each node reads, from the one list of automorphisms
+  found so far, those that fix its individualised prefix, and keeps the
+  closure of its visited children under them; a child in that closure is
+  skipped.  It reads the list again, and closes again, only when it grows.
 
 Together they keep highly symmetric inputs (pencils, full plane line sets)
 cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
@@ -46,7 +48,6 @@ the 40 plane line sets of pg3:3 are one.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 
 from .errors import DomainError
@@ -54,29 +55,25 @@ from .errors import DomainError
 __all__ = ["canonical_code", "canonical_set_system", "concurrency_classes"]
 
 
-def _refine(s: int, subs: list[frozenset[int]], mem: list[list[int]], colors: list[int]) -> list[int]:
-    """Stable coloring of 0..s-1 jointly refined with the class colors."""
+def _refine(
+    s: int, subs: tuple[tuple[int, ...], ...], mem: list[list[int]], colors: list[int]
+) -> list[int]:
+    """Stable coloring of 0..s-1 jointly refined with the class colors, as dense ranks."""
     while True:
-        scol = [
-            (len(subs[si]), tuple(sorted(colors[e] for e in subs[si])))
-            for si in range(len(subs))
-        ]
+        scol = [(len(S), tuple(sorted(colors[e] for e in S))) for S in subs]
         srank = {key: i for i, key in enumerate(sorted(set(scol)))}
-        esig = [
-            (colors[e], tuple(sorted(srank[scol[si]] for si in mem[e])))
-            for e in range(s)
-        ]
+        esig = [(col, tuple(sorted(srank[scol[si]] for si in m))) for col, m in zip(colors, mem)]
         erank = {key: i for i, key in enumerate(sorted(set(esig)))}
-        new = [erank[esig[e]] for e in range(s)]
+        new = [erank[sig] for sig in esig]
         if new == colors:
             return new
         colors = new
 
 
 def _individualize(colors: list[int], x: int) -> list[int]:
-    keyed = [(colors[e], 0 if e == x else 1) for e in range(len(colors))]
-    rank = {key: i for i, key in enumerate(sorted(set(keyed)))}
-    return [rank[key] for key in keyed]
+    """Split x's cell of a dense colouring: x keeps its colour c, its cell-mates take c + 1."""
+    c = colors[x]
+    return [col + 1 if col > c or col == c and e != x else col for e, col in enumerate(colors)]
 
 
 def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) -> None:
@@ -93,12 +90,16 @@ def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) ->
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a set system over ground set 0..s-1.
 
-    A negative s, or an element outside 0..s-1, raises DomainError.
+    A negative s, or an element that is not an int or lies outside 0..s-1,
+    raises DomainError.
     """
     subs = [frozenset(S) for S in subsets]
+    elements = frozenset().union(*subs)
     if s < 0:
         raise DomainError("ground set size must be nonnegative")
-    if not frozenset().union(*subs) <= frozenset(range(s)):
+    if not all(isinstance(e, int) for e in elements):
+        raise DomainError("set system has an element that is not an int")
+    if not elements <= frozenset(range(s)):
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if s == 0:
         return ((),) * len(subs)
@@ -113,10 +114,10 @@ _MEMO_SIZE = 4096  # affine:5 searches 286 distinct systems, 6 of them triangles
 @lru_cache(maxsize=_MEMO_SIZE)
 def _memo_search(s: int, key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """``_search`` memoised on the subsets as a sorted multiset."""
-    return _search(s, [frozenset(S) for S in key])
+    return _search(s, key)
 
 
-def _search(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The minimum leaf code of the individualisation-refinement tree, for s >= 1."""
     mem: list[list[int]] = [[] for _ in range(s)]
     for si, S in enumerate(subs):
@@ -149,25 +150,19 @@ def _search(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
             return next(i for i, (a, b) in enumerate(zip(best_path, fixed)) if a != b)
         return len(fixed)
 
-    def search(colors: list[int], fixed: list[int], gens: list[tuple[int, ...]], seen: int) -> int:
-        """Search below a node; return the depth at which the search resumes.
-
-        gens are the automorphisms among autos[:seen] that fix every point of
-        fixed; the node extends them as autos grows.
-        """
-        cells = defaultdict(list)
-        for e in range(s):
-            cells[colors[e]].append(e)
-        target = None
-        for col in sorted(cells):
-            if len(cells[col]) > 1:
-                target = cells[col]
-                break
-        if target is None:
+    def search(colors: list[int], fixed: list[int]) -> int:
+        """Search below a node; return the depth at which the search resumes."""
+        count = [0] * s
+        for col in colors:
+            count[col] += 1
+        c = next((col for col in range(s) if count[col] > 1), None)
+        if c is None:
             return visit_leaf(colors, fixed)
         depth = len(fixed)
+        gens: list[tuple[int, ...]] = []  # the automorphisms in autos that fix fixed pointwise
+        seen = 0
         orbit: set[int] = set()  # closure of the visited children under gens
-        for x in target:
+        for x in [e for e in range(s) if colors[e] == c]:
             if seen < len(autos):
                 new = [g for g in autos[seen:] if all(g[f] == f for f in fixed)]
                 seen = len(autos)
@@ -178,13 +173,12 @@ def _search(s: int, subs: list[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
                 continue
             orbit.add(x)
             _close(orbit, [x], gens)
-            child = _refine(s, subs, mem, _individualize(colors, x))
-            level = search(child, fixed + [x], [g for g in gens if g[x] == x], seen)
+            level = search(_refine(s, subs, mem, _individualize(colors, x)), fixed + [x])
             if level < depth:
                 return level
         return depth
 
-    search(_refine(s, subs, mem, [0] * s), [], [], 0)
+    search(_refine(s, subs, mem, [0] * s), [])
     assert best_code is not None
     return best_code
 

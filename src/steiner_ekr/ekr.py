@@ -341,7 +341,8 @@ def enumerate_maximal_ekr(
     inputs give identical streams.  When more than max_count families exist
     the search raises BudgetExceeded rather than truncate silently: it keeps
     at most max_count families but counts them all, so the exception's count
-    is exact and memory stays O(max_count).
+    is exact and memory stays O(max_count).  A negative max_count raises
+    DomainError before the search.
 
     The root of the search is an ordinary node whose candidates are all
     blocks, so its children are the blocks its pivot misses, and every node
@@ -351,6 +352,8 @@ def enumerate_maximal_ekr(
     returns at once when an excluded block meets every candidate, since no
     clique below it is then maximal.
     """
+    if max_count is not None and max_count < 0:
+        raise DomainError(f"the requested cap {max_count} is negative")
     if min_size < 1:
         min_size = 1
     cap = math.inf if max_count is None else max_count

@@ -8,12 +8,14 @@ covered points.  networkx is used only here, as an independent oracle.
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
+from steiner_ekr import canon
 from steiner_ekr.canon import (
     _individualize,
     _memo_search,
@@ -84,10 +86,20 @@ def test_canonical_set_system_spot():
 
 @pytest.mark.parametrize(
     "s, subsets",
-    [(3, [[-1, 0]]), (3, [[0, 1, 2, -1]]), (0, [[0]]), (2, [[0, 5]]), (-1, [])],
+    [
+        (3, [[-1, 0]]),
+        (3, [[0, 1, 2, -1]]),
+        (0, [[0]]),
+        (2, [[0, 5]]),
+        (-1, []),
+        (3, [[0.0, 2]]),
+        (3, [[Fraction(1), 2]]),
+    ],
 )
 def test_canonical_set_system_refuses_elements_outside_the_ground_set(s, subsets):
-    # -1 would index from the end and 5 past it: each once gave a wrong form or an IndexError
+    # -1 would index from the end and 5 past it: each once gave a wrong form or an
+    # IndexError; 0.0 and Fraction(1) equal ground elements but once failed in the
+    # search with a bare TypeError
     with pytest.raises(DomainError):
         canonical_set_system(s, subsets)
 
@@ -120,10 +132,35 @@ def test_canonical_set_system_relabel_invariant(system, rng):
     assert canonical_set_system(s, relabeled) == canonical_set_system(s, subsets)
 
 
+def _individualize_by_sort(colors, x):
+    """Individualise x by ranking (colour, is-not-x) pairs; needs no dense colouring."""
+    keyed = [(colors[e], 0 if e == x else 1) for e in range(len(colors))]
+    rank = {key: i for i, key in enumerate(sorted(set(keyed)))}
+    return [rank[key] for key in keyed]
+
+
+def _dense_colourings(s):
+    for colors in itertools.product(range(s), repeat=s):
+        if set(colors) == set(range(max(colors) + 1)):
+            yield list(colors)
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_individualize_equals_the_sort_on_dense_colourings(s):
+    splits = 0
+    for colors in _dense_colourings(s):
+        for x in range(s):
+            if colors.count(colors[x]) > 1:  # the search splits only such cells
+                assert _individualize(colors, x) == _individualize_by_sort(colors, x)
+                splits += 1
+    assert splits
+
+
 def _leaf_codes(s, subsets):
     """Every leaf code of the search tree, in search order, without pruning.
 
-    Same refinement, individualisation and target cell as canonical_set_system.
+    Same refinement and target cell as canonical_set_system, and the
+    individualisation by sorting.
     """
     subs = [frozenset(S) for S in subsets]
     mem = [[] for _ in range(s)]
@@ -140,7 +177,7 @@ def _leaf_codes(s, subsets):
             yield tuple(sorted(tuple(sorted(colors[e] for e in S)) for S in subs))
             return
         for x in target:
-            yield from leaves(_refine(s, subs, mem, _individualize(colors, x)))
+            yield from leaves(_refine(s, subs, mem, _individualize_by_sort(colors, x)))
 
     return leaves(_refine(s, subs, mem, [0] * s))
 
@@ -248,6 +285,40 @@ def test_memo_searches_each_labelled_system_once():
     # labelled systems, one per position of their apex
     assert _memo_counts(se.affine_plane(4)) == (1024, 1008, 21)
     assert _memo_search.cache_info().maxsize is not None
+
+
+def _refine_calls(monkeypatch, s, subs):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    _search(s, subs)
+    return calls
+
+
+def test_search_tree_is_pinned_by_its_refine_calls(monkeypatch):
+    import steiner_ekr as se
+
+    # _search directly, so that the memo stays out; the counts were recorded
+    # with the sort-based individualisation, so the tree has not moved
+    pg3 = se.pg3_line_design(3)
+    plane = next(
+        f for f in se.enumerate_maximal_ekr(pg3, min_size=13) if len(concurrency_classes(f)[1]) > 1
+    )
+    plane5 = se.projective_plane(5)
+    affine4 = se.affine_plane(4)
+    off = next(p for p in range(affine4.v) if p not in affine4.blocks[0])
+    cases = [
+        (concurrency_classes(plane), 27),
+        (concurrency_classes(se.BlockSet(plane5, (1 << plane5.b) - 1)), 92),
+        (concurrency_classes(se.triangle(affine4, off, 0)), 10),
+    ]
+    for (s, subs), calls in cases:
+        assert _refine_calls(monkeypatch, s, subs) == calls
 
 
 def test_large_pencil_is_fast():

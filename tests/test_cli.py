@@ -125,6 +125,11 @@ def test_enumerate_budget_exit(capsys):
         assert err.startswith("error: 201 maximal families exceed"), mode
 
 
+def test_enumerate_negative_budget_exit(capsys):
+    code, out, err = run(capsys, "enumerate", "--design", "sts13:1", "--max-count", "-1")
+    assert (code, out, err) == (1, "", "error: the requested cap -1 is negative\n")
+
+
 def test_classify_json_sts13(capsys):
     code, out, _ = run(capsys, "classify", "--design", "sts13:1", "--format", "json")
     assert code == 0

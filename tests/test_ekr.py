@@ -256,6 +256,19 @@ def test_budget_is_enforced():
     assert len(enumerate_maximal_ekr(d, max_count=201)) == 201
 
 
+def test_negative_budget_is_refused_before_the_search(monkeypatch):
+    d = se.sts13(1)
+    # max_count=0 still searches and reports the exact count
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_maximal_ekr(d, max_count=0)
+    assert exc.value.count == 201
+    # a negative cap once ran the whole search before it said "exceed the cap -1"
+    monkeypatch.setattr(se.ekr, "_bk_pivot", None)
+    for cap in (-1, -201):
+        with pytest.raises(DomainError, match=f"^the requested cap {cap} is negative$"):
+            enumerate_maximal_ekr(d, max_count=cap)
+
+
 @pytest.mark.parametrize("make, arg", [(se.sts13, 1), (se.hermitian_unital, 3)])
 @pytest.mark.parametrize("min_size", [1, 5])
 def test_budget_boundary_is_exact(make, arg, min_size):
