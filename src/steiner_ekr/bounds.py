@@ -322,7 +322,7 @@ def sweep_deficit_grid(k) -> SweepCertificate:
     cases = 0
 
     def excess_top(R: int) -> int:
-        return 0 if R == 0 else (R * (R - 1)) // (k - 1 - R)
+        return (R * (R - 1)) // (k - 1 - R)
 
     for R in range(cap + 1):
         for b in range(excess_top(R) + 1):
@@ -438,8 +438,6 @@ def locate_deficit_interval(k: int, deficit: int) -> int | None:
         raise DomainError("deficit windows are set up for k at least 14")
     if deficit < 0:
         raise DomainError("deficit must be nonnegative")
-    if deficit * deficit < k - 1:
-        return 0
     top = surd_floor(_axis_limit(k))
     c = top if deficit >= k - 1 else min((deficit**2 - deficit) // (k - 1 - deficit), top)
     lo, hi = deficit_interval(k, c)

@@ -24,6 +24,11 @@ changes (McKay & Piperno, "Practical graph isomorphism II", arXiv:1301.1493):
   found so far, those that fix its individualised prefix, and keeps the
   closure of its visited children under them; a child in that closure is
   skipped.  It reads the list again, and closes again, only when it grows.
+  The list needs no dedupe: refinement ranks by old colour first, so at
+  every leaf below a node's child x, x stays below each former cell-mate.
+  Distinct leaves have distinct discrete colourings, so the leaves matching
+  one best leaf give distinct automorphisms; a repeat would only add a
+  generator that changes no closure.
 
 Together they keep highly symmetric inputs (pencils, full plane line sets)
 cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
@@ -56,7 +61,7 @@ __all__ = ["canonical_code", "canonical_set_system", "concurrency_classes"]
 
 
 def _refine(
-    s: int, subs: tuple[tuple[int, ...], ...], mem: list[list[int]], colors: list[int]
+    subs: tuple[tuple[int, ...], ...], mem: list[list[int]], colors: list[int]
 ) -> list[int]:
     """Stable coloring of 0..s-1 jointly refined with the class colors, as dense ranks."""
     while True:
@@ -101,8 +106,6 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
         raise DomainError("set system has an element that is not an int")
     if not elements <= frozenset(range(s)):
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
-    if s == 0:
-        return ((),) * len(subs)
     if len(subs) == 1 and len(subs[0]) == s:
         return (tuple(range(s)),)
     return _memo_search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
@@ -118,7 +121,7 @@ def _memo_search(s: int, key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, .
 
 
 def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The minimum leaf code of the individualisation-refinement tree, for s >= 1."""
+    """The minimum leaf code of the individualisation-refinement tree."""
     mem: list[list[int]] = [[] for _ in range(s)]
     for si, S in enumerate(subs):
         for e in S:
@@ -128,7 +131,6 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     inv_best: list[int] = []
     best_path: list[int] = []
     autos: list[tuple[int, ...]] = []
-    known: set[tuple[int, ...]] = set()
 
     def visit_leaf(colors: list[int], fixed: list[int]) -> int:
         nonlocal best_code, inv_best, best_path
@@ -140,11 +142,8 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
                 inv_best[colors[e]] = e
             best_path = fixed
         elif code == best_code:
-            gamma = tuple(inv_best[colors[e]] for e in range(s))
-            if gamma not in known:
-                known.add(gamma)
-                autos.append(gamma)
-            # gamma maps this leaf's path onto the best leaf's: it fixes their
+            autos.append(tuple(inv_best[colors[e]] for e in range(s)))
+            # it maps this leaf's path onto the best leaf's: it fixes their
             # common prefix and carries the rest of this subtree onto the
             # sibling subtree already searched, so resume at the branch point
             return next(i for i, (a, b) in enumerate(zip(best_path, fixed)) if a != b)
@@ -173,12 +172,12 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
                 continue
             orbit.add(x)
             _close(orbit, [x], gens)
-            level = search(_refine(s, subs, mem, _individualize(colors, x)), fixed + [x])
+            level = search(_refine(subs, mem, _individualize(colors, x)), fixed + [x])
             if level < depth:
                 return level
         return depth
 
-    search(_refine(s, subs, mem, [0] * s), [])
+    search(_refine(subs, mem, [0] * s), [])
     assert best_code is not None
     return best_code
 

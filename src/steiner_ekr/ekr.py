@@ -354,8 +354,6 @@ def enumerate_maximal_ekr(
     """
     if max_count is not None and max_count < 0:
         raise DomainError(f"the requested cap {max_count} is negative")
-    if min_size < 1:
-        min_size = 1
     cap = math.inf if max_count is None else max_count
     adj = design.intersection_adjacency
     out = _Cliques(cap)

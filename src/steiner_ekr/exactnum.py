@@ -1,12 +1,13 @@
 """Exact arithmetic for certificate-grade inequality checking.
 
-Rationals are plain ``fractions.Fraction`` (already reduced, positive
-denominator, arbitrary precision).  Quadratic surds a + b*sqrt(n) are compared
-through sign analysis with at most two squarings; equality is decided exactly,
-never through an epsilon.  A polynomial in a real cube root takes the sign of
-its field norm, one integer.  ``CubeRootBound`` holds such an expression with
-a constant term and floors it by those sign tests.  An integer cube root is a
-plain int x with x^3 <= n < (x+1)^3.
+Rationals are ints or plain ``fractions.Fraction`` (reduced, positive
+denominator, arbitrary precision); a float, str or Decimal raises TypeError.
+Quadratic surds a + b*sqrt(n) are compared through sign analysis with at
+most two squarings; equality is decided exactly, never through an epsilon.
+A polynomial in a real cube root takes the sign of its field norm, one
+integer.  ``CubeRootBound`` holds such an expression with a constant term
+and floors it by those sign tests.  An integer cube root is a plain int x
+with x^3 <= n < (x+1)^3.
 """
 
 from __future__ import annotations
@@ -30,14 +31,28 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _exact(x):
+    """x itself if it is an int or a Fraction; a float, str or Decimal is not exact: TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact value must be an int or a Fraction, not {type(x).__name__}")
+    return x
+
+
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(_exact(x))
+
+
+def _check_radicand(n) -> None:
+    """TypeError unless n is an int, ValueError if it is negative."""
+    if not isinstance(n, int):
+        raise TypeError(f"radicand must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError("negative radicand")
 
 
 def icbrt_floor(value: int) -> int:
     """The x with x^3 <= value < (x+1)^3, the floor of the cube root of value >= 0."""
-    if value < 0:
-        raise ValueError("negative radicand")
+    _check_radicand(value)
     # Newton iteration from an over-estimate, then exact fixup.
     x = 1 << -(-value.bit_length() // 3)
     while value:
@@ -67,8 +82,7 @@ class SurdExpr:
     def __post_init__(self):
         object.__setattr__(self, "a", _frac(self.a))
         object.__setattr__(self, "b", _frac(self.b))
-        if self.n < 0:
-            raise ValueError("negative radicand")
+        _check_radicand(self.n)
 
     @classmethod
     def rational(cls, x) -> "SurdExpr":
@@ -77,25 +91,22 @@ class SurdExpr:
 
 def _scaled(*xs) -> list[int]:
     """The rationals xs times the lcm of their denominators: integers, same signs and ratios."""
-    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    fs = [_exact(x) for x in xs]
     den = lcm(*(f.denominator for f in fs))
     return [f.numerator * (den // f.denominator) for f in fs]
 
 
 def surd_sign(a, b, n: int) -> int:
     """Exact sign of a + b*sqrt(n)."""
-    if n < 0:
-        raise ValueError("negative radicand")
+    _check_radicand(n)
     a, b = _scaled(a, b)
-    r = isqrt(n)
-    if r * r == n:
-        return _sign(a + b * r)
-    sa, sb = _sign(a), _sign(b)
+    sa = _sign(a)
+    sb = _sign(b) if n else 0  # b*sqrt(0) is 0 whatever b is
     if sa * sb >= 0:
         return sa or sb
-    # Opposite signs: compare |a| with |b|*sqrt(n).  a*a == b*b*n would make
-    # sqrt(n) rational, excluded above, so the comparison is strict.
-    return sa if a * a > b * b * n else sb
+    # Opposite signs: compare a^2 with b^2 n, equal only when n is a square.
+    d = a * a - b * b * n
+    return 0 if d == 0 else (sa if d > 0 else sb)
 
 
 def cmp_surd(lhs: SurdExpr, rhs: SurdExpr) -> int:
@@ -107,16 +118,10 @@ def cmp_surd(lhs: SurdExpr, rhs: SurdExpr) -> int:
     m, n = lhs.n, rhs.n
     a, rhs_a, b, c = _scaled(lhs.a, rhs.a, lhs.b, -rhs.b)
     a -= rhs_a
-    rm = isqrt(m)
-    if rm * rm == m:
-        return surd_sign(a + b * rm, c, n)
-    rn = isqrt(n)
-    if rn * rn == n:
-        return surd_sign(a + c * rn, b, m)
-    if m == n:
-        return surd_sign(a, b + c, m)
-    # sign of b*sqrt(m) + c*sqrt(n); zero is possible (e.g. 2*sqrt(2) - sqrt(8))
-    sb, sc, d = _sign(b), _sign(c), b * b * m - c * c * n
+    # sign of b*sqrt(m) + c*sqrt(n); zero is possible (e.g. 2*sqrt(2) - sqrt(8)).
+    # A coefficient over a zero radicand counts as 0; no step needs a non-square radicand.
+    sb, sc = _sign(b) if m else 0, _sign(c) if n else 0
+    d = b * b * m - c * c * n
     st = sb if sb == sc or d > 0 else (sc if d < 0 else 0)
     sa = _sign(a)
     if sa * st >= 0:
@@ -172,8 +177,7 @@ def cbrt_quadratic_sign(c2, c1, c0, radicand: int) -> int:
     A perfect cube n = m^3 is evaluated directly: there the norm also vanishes
     on c2 (t^2 + m t + m^2), whose value 3 c2 m^2 is not zero.
     """
-    if radicand < 0:
-        raise ValueError("negative radicand")
+    _check_radicand(radicand)
     c2, c1, c0 = _scaled(c2, c1, c0)
     root = icbrt_floor(radicand)
     if root**3 == radicand:

@@ -294,7 +294,7 @@ def hermitian_points(q: int) -> list[tuple[int, ...]]:
     for pt in pg_points(fld, 2):
         acc = 0
         for c in pt:
-            acc = fld.add(acc, fld.pow(c, m) if c else 0)
+            acc = fld.add(acc, fld.pow(c, m))
         if acc == 0:
             sel.append(pt)
     if len(sel) != q**3 + 1:

@@ -109,6 +109,8 @@ def test_empty_ground_set_keeps_each_empty_subset(count):
     # as at s = 1, the form holds one () per subset given
     assert canonical_set_system(0, [[]] * count) == ((),) * count
     assert canonical_set_system(1, [[]] * count) == ((),) * count
+    # the search itself takes s = 0: one leaf, the empty colouring
+    assert _search(0, ((),) * count) == ((),) * count
 
 
 @st.composite
@@ -177,9 +179,9 @@ def _leaf_codes(s, subsets):
             yield tuple(sorted(tuple(sorted(colors[e] for e in S)) for S in subs))
             return
         for x in target:
-            yield from leaves(_refine(s, subs, mem, _individualize_by_sort(colors, x)))
+            yield from leaves(_refine(subs, mem, _individualize_by_sort(colors, x)))
 
-    return leaves(_refine(s, subs, mem, [0] * s))
+    return leaves(_refine(subs, mem, [0] * s))
 
 
 def _reference_form(s, subsets, max_leaves):

@@ -281,7 +281,9 @@ def test_budget_boundary_is_exact(make, arg, min_size):
     assert enumerate_maximal_ekr(design, min_size=min_size, max_count=count) == families
 
 
-@pytest.mark.parametrize("make, arg", [(se.sts13, 1), (se.hermitian_unital, 3)])
+@pytest.mark.parametrize(
+    "make, arg", [(se.sts13, 1), (se.hermitian_unital, 3), (se.complete_graph, 5)]
+)
 def test_min_size_bounds(make, arg):
     design = make(arg)
     families = enumerate_maximal_ekr(design)

@@ -11,6 +11,7 @@ field norm, are also held to the root-factoring form they replaced.
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 from math import isqrt
 
@@ -245,6 +246,28 @@ def test_double_surd_exact_cancellations():
     assert cmp_surd(SurdExpr(5, F(3, 2), 8), SurdExpr(4, 3, 2)) == 1
 
 
+def test_exact_ties_at_zero_square_and_equal_radicands():
+    # the random oracle forgives any sign within a few units of zero, so the
+    # ties are pinned here: a coefficient over a zero radicand counts as 0
+    assert cmp_surd(SurdExpr(0, 1, 0), SurdExpr(0, -1, 0)) == 0
+    assert cmp_surd(SurdExpr(3, 7, 0), SurdExpr(3, 0, 5)) == 0
+    assert surd_sign(0, 5, 0) == 0
+    assert surd_sign(0, -5, 0) == 0
+    assert surd_sign(2, -1, 4) == 0
+    assert surd_sign(-2, 1, 4) == 0
+    assert surd_sign(F(3, 2), F(-1, 2), 9) == 0
+    # a square radicand on either side: 1 + 2 sqrt(9) = 7
+    assert cmp_surd(SurdExpr(1, 2, 9), SurdExpr(7, 0, 5)) == 0
+    assert cmp_surd(SurdExpr(7, 0, 5), SurdExpr(1, 2, 9)) == 0
+    assert cmp_surd(SurdExpr(1, 2, 9), SurdExpr(6, 1, 1)) == 0
+    assert cmp_surd(SurdExpr(-2, 1, 9), SurdExpr(0, 1, 2)) == -1
+    assert cmp_surd(SurdExpr(0, 1, 2), SurdExpr(-2, 1, 9)) == 1
+    # equal radicands whose coefficients cancel
+    assert cmp_surd(SurdExpr(1, F(3, 2), 7), SurdExpr(1, F(3, 2), 7)) == 0
+    assert cmp_surd(SurdExpr(2, 1, 7), SurdExpr(1, 1, 7)) == 1
+    assert cmp_surd(SurdExpr(F(1, 2), -1, 7), SurdExpr(F(1, 2), -1, 7)) == 0
+
+
 def test_surd_floor_random_oracle():
     rng = random.Random(99)
     for _ in range(2500):
@@ -260,7 +283,44 @@ def test_rejects_negative_radicand():
     with pytest.raises(ValueError):
         SurdExpr(1, 1, -1)
     with pytest.raises(ValueError):
+        surd_sign(1, 1, -1)
+    with pytest.raises(ValueError):
+        cbrt_quadratic_sign(1, 1, 1, -1)
+    with pytest.raises(ValueError):
         icbrt_floor(-5)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "7/2", Decimal("0.1")])
+def test_rejects_values_that_are_not_exact(bad):
+    # a float, string or Decimal would be decided on its binary or parsed value
+    calls = [
+        lambda: SurdExpr(bad, 0, 0),
+        lambda: SurdExpr(0, bad, 2),
+        lambda: SurdExpr.rational(bad),
+        lambda: surd_floor(SurdExpr(bad, 0, 0)),
+        lambda: cmp_surd(SurdExpr(bad, 1, 2), SurdExpr(0, 1, 2)),
+        lambda: surd_sign(bad, 0, 0),
+        lambda: surd_sign(0, bad, 2),
+        lambda: cbrt_quadratic_sign(bad, 0, 0, 2),
+        lambda: cbrt_quadratic_sign(0, bad, 0, 2),
+        lambda: cbrt_quadratic_sign(0, 0, bad, 2),
+        # as a radicand
+        lambda: SurdExpr(0, 1, bad),
+        lambda: cmp_surd(SurdExpr(0, 1, bad), SurdExpr(0, 1, 2)),
+        lambda: surd_sign(-1, 1, bad),
+        lambda: cbrt_quadratic_sign(1, 0, 0, bad),
+        lambda: icbrt_floor(bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_accepts_int_bool_and_fraction():
+    assert SurdExpr(True, 0, 0).a == 1
+    assert surd_sign(True, False, 0) == 1
+    assert surd_sign(F(-1, 2), 0, True) == -1
+    assert cbrt_quadratic_sign(0, 0, F(1, 3), 2) == 1
 
 
 # -- cube root sign decisions -------------------------------------------------
