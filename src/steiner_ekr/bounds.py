@@ -6,7 +6,10 @@ exactnum.CubeRootBound, which takes the sign of its field norm and uses
 integer cube roots only for the floor's first guess.  Floors gallop and
 bisect on exact sign tests and are certified against consecutive integers,
 never by rounding a float.  Sweep functions return certificates listing
-every failing case: an empty list is the proof.
+every failing case: an empty list is the proof.  Every parameter of a
+public function is an int (bool included), and a float or str raises
+TypeError, so no inexact value reaches a decision; sweep_deficit_grid also
+takes "all".
 """
 
 from __future__ import annotations
@@ -90,8 +93,18 @@ class NearExtremalVerdict(enum.Enum):
 # -- single formulas ---------------------------------------------------------
 
 
+def _ints(**params) -> None:
+    """TypeError unless every parameter is an int (bool included); DomainError on a budget < 0."""
+    for name, x in params.items():
+        if not isinstance(x, int):
+            raise TypeError(f"{name} must be an int, not {type(x).__name__}")
+    if params.get("budget", 0) < 0:
+        raise DomainError(f"the requested budget {params['budget']} is negative")
+
+
 def multiplicity_cap_bound(k: int, max_mult: int) -> int:
     """Size cap for an intersecting family whose top point multiplicity is max_mult."""
+    _ints(k=k, max_mult=max_mult)
     if k < 2:
         raise DomainError("block size must be at least 2")
     if not 1 <= max_mult <= k:
@@ -125,6 +138,7 @@ def counting_bound(k: int, r: int, excess: int) -> BoundReport:
     denominators are a genuine domain edge, not a removable one, so k < 3 is
     rejected outright.
     """
+    _ints(k=k, r=r, excess=excess)
     return _counting(k, (k - 1) ** 2 - r, excess)
 
 
@@ -134,6 +148,7 @@ def counting_bound_deficit(k: int, deficit: int, excess: int) -> BoundReport:
     Negative deficits are allowed; they correspond to r above (k-1)^2.
     Agrees with counting_bound(k, (k-1)^2 - deficit, excess) identically.
     """
+    _ints(k=k, deficit=deficit, excess=excess)
     return _counting(k, deficit, excess)
 
 
@@ -144,6 +159,7 @@ def cover_range_submax(k: int, shortfall: int) -> tuple[Fraction, Fraction]:
     a' = k-1; the underlying argument only applies below it, so larger values
     are rejected rather than extended.
     """
+    _ints(k=k, shortfall=shortfall)
     if k < 3:
         raise DomainError("cover range needs block size at least 3")
     if not 0 <= shortfall < k - 1:
@@ -201,8 +217,10 @@ def certify_moment_inequality(
     checks sum (i-1) n_i <= C(b,2) + (a+2b-2) C(l+1,2) on each.  The
     hypothesis window for a is checked exactly before searching; its lower
     edges lo1 and lo2 are sum_i >= 0 and sum_ii >= 0.  More than budget cases
-    raise BudgetExceeded, before the search where it must meet more.
+    raise BudgetExceeded, before the search where it must meet more; a
+    negative budget raises DomainError.
     """
+    _ints(l=l, a=a, b=b, r=r, budget=budget)
     if l < 2:
         raise DomainError("moment certificate needs l at least 2")
     if b < 0:
@@ -241,6 +259,7 @@ def certify_moment_inequality(
 
 def replication_threshold(k: int, r: int) -> ReplicationVerdict:
     """Where r sits relative to k^2-k+1, the pencil-optimality threshold."""
+    _ints(k=k, r=r)
     if k < 2:
         raise DomainError("block size must be at least 2")
     pivot = k * k - k + 1
@@ -256,6 +275,7 @@ def near_extremal_cutoff(k: int) -> SurdExpr:
 
     The window is set up for k >= 4 only; a smaller k raises DomainError.
     """
+    _ints(k=k)
     if k < 4:
         raise DomainError("near-extremal window needs block size at least 4")
     return SurdExpr(k * k - 3 * k + 2, Fraction(3, 4), k)
@@ -268,6 +288,7 @@ def near_extremal_threshold(k: int, r: int) -> NearExtremalVerdict:
     comparison.  (r,k)=(8,4) sits inside the window but only the size bound
     holds there, not the uniqueness statement.
     """
+    _ints(k=k, r=r)
     cutoff = near_extremal_cutoff(k)
     if r > k * k - k:
         return NearExtremalVerdict.OUTSIDE
@@ -280,6 +301,7 @@ def near_extremal_threshold(k: int, r: int) -> NearExtremalVerdict:
 
 def pencil_uniqueness_threshold(k: int, v: int) -> bool:
     """True when v >= 1 + k^2 (k-1), past which pencils are the unique maxima."""
+    _ints(k=k, v=v)
     if k < 2:
         raise DomainError("block size must be at least 2")
     return v >= 1 + k * k * (k - 1)
@@ -290,6 +312,7 @@ def pencil_uniqueness_threshold(k: int, v: int) -> bool:
 
 def deficit_cap(k: int) -> int:
     """floor(k - 1 - (3/4) sqrt(k)), the deficit cap as a closed form."""
+    _ints(k=k)
     return surd_floor(SurdExpr(k - 1, Fraction(-3, 4), k))
 
 
@@ -315,6 +338,7 @@ def sweep_deficit_grid(k) -> SweepCertificate:
             cases += cert.total_cases
             failures.extend(cert.failures)
         return SweepCertificate({"k": sorted(DEFICIT_CAPS)}, cases, tuple(failures))
+    _ints(k=k)
     if k not in DEFICIT_CAPS:
         raise DomainError(f"no tabulated deficit cap for k={k}")
     cap = DEFICIT_CAPS[k]
@@ -346,6 +370,7 @@ def sweep_deficit_grid(k) -> SweepCertificate:
 
 def discriminant(b: int, k: int) -> int:
     """(k^3 - 3k^2 - 2bk + 6k - 2)^2 - 8k(k-1)(b-1)(b-2)."""
+    _ints(b=b, k=k)
     lead = k ** 3 - 3 * k * k - 2 * b * k + 6 * k - 2
     return lead * lead - 8 * k * (k - 1) * (b - 1) * (b - 2)
 
@@ -378,8 +403,10 @@ def sweep_large_k(k_max: int = 50, budget: int = 2_000_000) -> SweepCertificate:
     argument, not by this sweep.  The sampled c are 1, top // 2 and top, with
     top = floor(C_k) >= 34 for every k >= 14, so each k costs seven cases
     (three c, two b each, one b = 0 check), and a sweep of more than budget
-    cases raises BudgetExceeded before it starts.
+    cases raises BudgetExceeded before it starts; a negative budget raises
+    DomainError.
     """
+    _ints(k_max=k_max, budget=budget)
     if k_max < 14:
         raise DomainError("large-k sweep starts at k = 14")
     need = 7 * (k_max - 13)
@@ -418,6 +445,7 @@ def deficit_interval(k: int, c: int) -> tuple[SurdExpr, SurdExpr]:
 
     e(c) = (1 - c + sqrt((c-1)^2 + 4c(k-1))) / 2, so consecutive windows abut exactly.
     """
+    _ints(k=k, c=c)
     if k < 14:
         raise DomainError("deficit windows are set up for k at least 14")
     if c < 0:
@@ -434,6 +462,7 @@ def locate_deficit_interval(k: int, deficit: int) -> int | None:
     cmp_surd pair certifies.  With floor(C_k), three sign tests and two comparisons at any k.
     Like deficit_interval, it raises DomainError for every k below 14.
     """
+    _ints(k=k, deficit=deficit)
     if k < 14:
         raise DomainError("deficit windows are set up for k at least 14")
     if deficit < 0:
@@ -452,6 +481,7 @@ def locate_deficit_interval(k: int, deficit: int) -> int | None:
 
 def unital_counting_bound(q: int, excess: int) -> BoundReport:
     """Counting bound specialized to unital parameters (k = q+1, r = q^2, so deficit 0)."""
+    _ints(q=q, excess=excess)
     if q < 2:
         raise DomainError("unital order must be at least 2")
     return _counting(q + 1, 0, excess)
@@ -464,6 +494,7 @@ def unital_second_max_bound(q: int) -> BoundReport:
     sharper tabulated values.  The floor is certified by exact sign tests of
     the cubic-root expression.
     """
+    _ints(q=q)
     if q < 3:
         raise DomainError("second-largest unital bound starts at q = 3")
     if q == 3:

@@ -40,15 +40,17 @@ first search of a large pencil is not free (5.3 ms at s = 13), while the
 check costs one comparison.  Which families are pencils or triangles is
 ``ekr.shape``'s business, read from block masks; this module only canonises.
 
-Every other system is searched once per process: a bounded memo keyed on s
-and the subsets as a sorted multiset returns the form of a system already
-searched.  A hit is exact, since the minimum leaf code depends only on that
-multiset: refinement ranks do not see the order of the subsets, leaf codes
-are sorted, and the prunes skip only codes that already occur.  Hits are
+Every other system is searched once per process: the memo sits on
+``_search`` itself, which is called with s and the subsets as a sorted
+multiset, so a system already searched is not searched again.  A hit is
+exact, since the minimum leaf code depends only on that multiset:
+refinement ranks do not see the order of the subsets, leaf codes are
+sorted, and the prunes skip only codes that already occur.  Hits are
 common because many families of one type give the same labelled system, the
 classes written over member positions in block-index order: the triangles
 of a design give at most k + 1 systems, one per position of the apex, and
-the 40 plane line sets of pg3:3 are one.
+the 40 plane line sets of pg3:3 are one.  The uncached search,
+``_search.__wrapped__``, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -108,18 +110,10 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if len(subs) == 1 and len(subs[0]) == s:
         return (tuple(range(s)),)
-    return _memo_search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
+    return _search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
 
 
-_MEMO_SIZE = 4096  # affine:5 searches 286 distinct systems, 6 of them triangles
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _memo_search(s: int, key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """``_search`` memoised on the subsets as a sorted multiset."""
-    return _search(s, key)
-
-
+@lru_cache(maxsize=4096)  # affine:5 searches 286 distinct systems, 6 of them triangles
 def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The minimum leaf code of the individualisation-refinement tree."""
     mem: list[list[int]] = [[] for _ in range(s)]
@@ -162,12 +156,11 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
         seen = 0
         orbit: set[int] = set()  # closure of the visited children under gens
         for x in [e for e in range(s) if colors[e] == c]:
-            if seen < len(autos):
-                new = [g for g in autos[seen:] if all(g[f] == f for f in fixed)]
-                seen = len(autos)
-                if new:
-                    gens += new
-                    _close(orbit, list(orbit), gens)
+            new = [g for g in autos[seen:] if all(g[f] == f for f in fixed)]
+            seen = len(autos)
+            if new:
+                gens += new
+                _close(orbit, list(orbit), gens)
             if x in orbit:
                 continue
             orbit.add(x)

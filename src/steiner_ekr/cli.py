@@ -62,7 +62,26 @@ def _frac(x) -> str:
 
 
 def _value(x):
-    """An exact value in JSON form: ints stay, every rational is "p/q"."""
+    """A result in JSON form: ints stay, every rational is "p/q".
+
+    A BoundReport gives value and floor_value, then active_branch when it is
+    set; a SweepCertificate gives ranges, total_cases, certified and failures.
+    Lists and dicts are rendered member by member.
+    """
+    if isinstance(x, bounds.BoundReport):
+        fields = {"value": x.value, "floor_value": x.floor_value}
+        if x.active_branch is not None:
+            fields["active_branch"] = x.active_branch
+        return _value(fields)
+    if isinstance(x, bounds.SweepCertificate):
+        return _value(
+            {
+                "ranges": x.ranges,
+                "total_cases": x.total_cases,
+                "certified": x.certified,
+                "failures": x.failures,
+            }
+        )
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -81,27 +100,6 @@ def _value(x):
     if isinstance(x, dict):
         return {str(k): _value(v) for k, v in x.items()}
     return str(x)
-
-
-def _fields(result) -> dict:
-    """A bound or sweep result as payload fields in JSON form.
-
-    A BoundReport gives value and floor_value, then active_branch when it is
-    set; a SweepCertificate gives ranges, total_cases, certified and failures.
-    """
-    if isinstance(result, bounds.BoundReport):
-        fields = {"value": result.value, "floor_value": result.floor_value}
-        if result.active_branch is not None:
-            fields["active_branch"] = result.active_branch
-        result = fields
-    elif isinstance(result, bounds.SweepCertificate):
-        result = {
-            "ranges": result.ranges,
-            "total_cases": result.total_cases,
-            "certified": result.certified,
-            "failures": result.failures,
-        }
-    return _value(result)
 
 
 def _scalar(v) -> str:
@@ -291,7 +289,7 @@ def _unital_second(a):
     if not isinstance(report.value, CubeRootBound):
         return report
     brackets = {"cbrt_bracket_q2": icbrt_floor(a.q * a.q), "cbrt_bracket_q": icbrt_floor(a.q)}
-    return {"inputs": {"q": a.q, **brackets}, **_fields(report)}
+    return {"inputs": {"q": a.q, **brackets}, **_value(report)}
 
 
 # formula -> (options it needs, result); the --formula choices.  The payload
@@ -387,7 +385,7 @@ def _cmd_table(parser, table: dict, choice: str):
         if choice == "formula":
             head["inputs"] = {n.replace("-", "_"): v for n, v in given.items()}
         try:
-            return _emit(args.format, {**head, **_fields(build(args))})
+            return _emit(args.format, {**head, **_value(build(args))})
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
         except ValueError as exc:

@@ -409,11 +409,7 @@ def max_ekr_size(design: Design) -> BlockSet:
         for bit, c in reversed(order):
             if size + c <= best[0]:
                 return
-            Pv = P & adj[bit.bit_length() - 1]
-            if Pv:
-                expand(size + 1, R | bit, Pv)
-            elif size + 1 > best[0]:
-                best[0], best[1] = size + 1, R | bit
+            expand(size + 1, R | bit, P & adj[bit.bit_length() - 1])
             P ^= bit
 
     expand(0, 0, (1 << design.b) - 1)

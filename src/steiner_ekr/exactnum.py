@@ -195,6 +195,12 @@ class CubeRootBound:
     sq_coef: Fraction
     lin_coef: Fraction
 
+    def __post_init__(self):
+        _check_radicand(self.radicand)
+        object.__setattr__(self, "const", _frac(self.const))
+        object.__setattr__(self, "sq_coef", _frac(self.sq_coef))
+        object.__setattr__(self, "lin_coef", _frac(self.lin_coef))
+
     def compare(self, m: int) -> int:
         """Sign of (self - m), decided without floating point."""
         return cbrt_quadratic_sign(self.sq_coef, self.lin_coef, self.const - m, self.radicand)

@@ -171,12 +171,6 @@ class Field:
         q1 = self.order - 1
         return self._exp[(self._log[x] + self._log[y]) % q1]
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        q1 = self.order - 1
-        return self._exp[(-self._log[x]) % q1]
-
     def pow(self, x: int, k: int) -> int:
         if x == 0:
             if k == 0:

@@ -9,6 +9,7 @@ is held to the linear scan it replaced, and the floors to their bracketing
 sign tests at magnitudes up to 10^40.
 """
 
+import inspect
 import itertools
 import math
 import time
@@ -18,6 +19,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steiner_ekr import bounds
 from steiner_ekr.bounds import (
     DEFICIT_CAPS,
     _c_sampler,
@@ -699,3 +701,53 @@ def test_large_inputs_answer_quickly():
     lo, hi = deficit_interval(k, c)
     probe = SurdExpr.rational(deficit)
     assert cmp_surd(lo, probe) <= 0 < cmp_surd(hi, probe)
+
+
+# -- parameters are ints -----------------------------------------------------------
+
+# valid int arguments for every public function of bounds
+_INT_CALLS = {
+    "certify_moment_inequality": (3, 7, 0, 7, 2_000_000),
+    "counting_bound": (4, 9, 0),
+    "counting_bound_deficit": (4, 0, 0),
+    "cover_range_submax": (5, 1),
+    "deficit_cap": (4,),
+    "deficit_interval": (14, 1),
+    "discriminant": (1, 14),
+    "locate_deficit_interval": (14, 3),
+    "multiplicity_cap_bound": (4, 2),
+    "near_extremal_cutoff": (4,),
+    "near_extremal_threshold": (4, 12),
+    "pencil_uniqueness_threshold": (3, 19),
+    "replication_threshold": (3, 7),
+    "sweep_deficit_grid": (4,),
+    "sweep_large_k": (20, 2_000_000),
+    "unital_counting_bound": (3, 0),
+    "unital_second_max_bound": (5,),
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in bounds.__all__ if inspect.isfunction(getattr(bounds, n)))
+)
+def test_public_functions_take_only_ints(name):
+    # a float equal to a valid int once answered (multiplicity_cap_bound(4, 2.0)
+    # gave 5.0), a fractional one reached a decision, and a str failed deep inside
+    func, args = getattr(bounds, name), _INT_CALLS[name]
+    func(*args)
+    for slot, x in enumerate(args):
+        for bad in (float(x), float(x) + 0.5, str(x)):
+            with pytest.raises(TypeError):
+                func(*args[:slot], bad, *args[slot + 1 :])
+
+
+def test_negative_budget_is_refused_before_any_work(monkeypatch):
+    # -1 once read as exceeded: "moment search passed -1 cases" with count 0
+    monkeypatch.setattr(bounds, "_count_vectors", None)
+    monkeypatch.setattr(bounds, "_c_sampler", None)
+    for call in (
+        lambda: certify_moment_inequality(3, 7, 0, 7, budget=-1),
+        lambda: sweep_large_k(20, budget=-1),
+    ):
+        with pytest.raises(DomainError, match="^the requested budget -1 is negative$"):
+            call()

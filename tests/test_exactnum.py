@@ -288,6 +288,8 @@ def test_rejects_negative_radicand():
         cbrt_quadratic_sign(1, 1, 1, -1)
     with pytest.raises(ValueError):
         icbrt_floor(-5)
+    with pytest.raises(ValueError):
+        CubeRootBound(-27, 0, 1, 0)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, "7/2", Decimal("0.1")])
@@ -304,12 +306,17 @@ def test_rejects_values_that_are_not_exact(bad):
         lambda: cbrt_quadratic_sign(bad, 0, 0, 2),
         lambda: cbrt_quadratic_sign(0, bad, 0, 2),
         lambda: cbrt_quadratic_sign(0, 0, bad, 2),
+        # a cube-root bound refuses it when it is built, not at its first floor
+        lambda: CubeRootBound(27, bad, 1, 0),
+        lambda: CubeRootBound(27, 0, bad, 0),
+        lambda: CubeRootBound(27, 0, 1, bad),
         # as a radicand
         lambda: SurdExpr(0, 1, bad),
         lambda: cmp_surd(SurdExpr(0, 1, bad), SurdExpr(0, 1, 2)),
         lambda: surd_sign(-1, 1, bad),
         lambda: cbrt_quadratic_sign(1, 0, 0, bad),
         lambda: icbrt_floor(bad),
+        lambda: CubeRootBound(bad, 0, 1, 0),
     ]
     for call in calls:
         with pytest.raises(TypeError):
@@ -321,6 +328,9 @@ def test_accepts_int_bool_and_fraction():
     assert surd_sign(True, False, 0) == 1
     assert surd_sign(F(-1, 2), 0, True) == -1
     assert cbrt_quadratic_sign(0, 0, F(1, 3), 2) == 1
+    bound = CubeRootBound(27, 1, True, 0)
+    assert bound == CubeRootBound(27, F(1), F(1), F(0))
+    assert all(type(c) is F for c in (bound.const, bound.sq_coef, bound.lin_coef))
 
 
 # -- cube root sign decisions -------------------------------------------------
