@@ -67,15 +67,17 @@ class SweepCertificate:
 
     ranges names the parameter ranges the sweep ran over, total_cases counts
     the cases it checked, and failures holds one tuple per failing case.
+    certified is set from failures, so it is not passed in; the fields in
+    this order are the CLI's sweep payload.
     """
 
     ranges: dict
     total_cases: int
+    certified: bool = field(init=False)
     failures: tuple = field(default_factory=tuple)
 
-    @property
-    def certified(self) -> bool:
-        return not self.failures
+    def __post_init__(self):
+        object.__setattr__(self, "certified", not self.failures)
 
 
 class ReplicationVerdict(enum.Enum):

@@ -9,6 +9,9 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import sys
 from collections import Counter
@@ -18,7 +21,7 @@ from . import bounds, designs
 from .designs import Design, load_design, save_design
 from .ekr import classify, enumerate_maximal_ekr, find_onan, max_ekr_size
 from .errors import DomainError
-from .exactnum import CubeRootBound, SurdExpr, icbrt_floor
+from .exactnum import CubeRootBound, icbrt_floor
 
 _BUILTINS = {
     "projective": designs.projective_plane,
@@ -64,30 +67,15 @@ def _frac(x) -> str:
 def _value(x):
     """A result in JSON form: ints stay, every rational is "p/q".
 
-    A BoundReport gives value and floor_value, then active_branch when it is
-    set; a SweepCertificate gives ranges, total_cases, certified and failures.
-    Lists and dicts are rendered member by member.
+    A CubeRootBound names its coefficients coef_cbrt_sq and coef_cbrt; any
+    other record (BoundReport, SweepCertificate, SurdExpr) gives its fields
+    in field order, leaving out a field that is None.  Lists and dicts are
+    rendered member by member.
     """
-    if isinstance(x, bounds.BoundReport):
-        fields = {"value": x.value, "floor_value": x.floor_value}
-        if x.active_branch is not None:
-            fields["active_branch"] = x.active_branch
-        return _value(fields)
-    if isinstance(x, bounds.SweepCertificate):
-        return _value(
-            {
-                "ranges": x.ranges,
-                "total_cases": x.total_cases,
-                "certified": x.certified,
-                "failures": x.failures,
-            }
-        )
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return _frac(x)
-    if isinstance(x, SurdExpr):
-        return {"a": _frac(x.a), "b": _frac(x.b), "n": x.n}
     if isinstance(x, CubeRootBound):
         return {
             "const": _frac(x.const),
@@ -95,6 +83,9 @@ def _value(x):
             "coef_cbrt": _frac(x.lin_coef),
             "radicand": x.radicand,
         }
+    if dataclasses.is_dataclass(x):
+        items = ((f.name, getattr(x, f.name)) for f in dataclasses.fields(x))
+        return {k: _value(v) for k, v in items if v is not None}
     if isinstance(x, (tuple, list)):
         return [_value(e) for e in x]
     if isinstance(x, dict):
@@ -108,16 +99,6 @@ def _scalar(v) -> str:
     if isinstance(v, (dict, list)):
         return json.dumps(v, separators=(",", ":"))
     return str(v)
-
-
-def _csv_row(cells) -> str:
-    out = []
-    for c in cells:
-        c = _scalar(c)
-        if any(ch in c for ch in ',"\n'):
-            c = '"' + c.replace('"', '""') + '"'
-        out.append(c)
-    return ",".join(out) + "\n"
 
 
 def _flat_text(payload: dict) -> str:
@@ -145,7 +126,11 @@ def _emit(fmt: str, payload: dict, header=None, rows=None, text=None) -> int:
     elif fmt == "csv":
         if header is None:
             header, rows = list(payload), [list(payload.values())]
-        out = "".join(_csv_row(r) for r in [header, *rows])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [_scalar(c) for c in row] for row in [header, *rows]
+        )
+        out = buf.getvalue()
     elif text is None:
         out = _flat_text(payload)
     else:

@@ -72,6 +72,9 @@ class Design:
             tb = tuple(bl)
             if len(tb) != k:
                 raise ParameterMismatch(f"block {tb} does not have {k} points")
+            # a bool or a float would pass the checks below but not save_design's text
+            if any(type(x) is not int for x in tb):
+                raise ParameterMismatch(f"block {tb} has a point that is not an int")
             if any(not (0 <= x < v) for x in tb):
                 raise ParameterMismatch(f"block {tb} has a point outside 0..{v - 1}")
             if any(tb[i] >= tb[i + 1] for i in range(k - 1)):
@@ -232,17 +235,12 @@ _STS13_BLOCKS = {
     ),
 }
 
-_STS13_DIGITS = {ch: i for i, ch in enumerate("0123456789abc")}
-
 
 def sts13(variant: int) -> Design:
     """One of the two Steiner triple systems on 13 points (variant 1 or 2)."""
     if variant not in _STS13_BLOCKS:
         raise DomainError("variant must be 1 or 2")
-    blocks = [
-        tuple(sorted(_STS13_DIGITS[ch] for ch in word))
-        for word in _STS13_BLOCKS[variant].split()
-    ]
+    blocks = [tuple(sorted(int(ch, 13) for ch in word)) for word in _STS13_BLOCKS[variant].split()]
     return Design(13, 3, blocks, name=f"sts13:{variant}")
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .canon import canonical_code
@@ -66,13 +67,18 @@ class HasONan(DomainError):
         self.blocks = blocks
 
 
+@dataclass(frozen=True, slots=True)
 class BlockSet:
-    """A set of blocks of one design, stored as a bit vector of indices."""
+    """An immutable set of blocks of one design, stored as a bit vector of indices.
 
-    __slots__ = ("design", "mask")
+    Two block sets are equal when they hold the same blocks of the same
+    design object.
+    """
+
+    design: Design
+    mask: int
 
     def __init__(self, design: Design, blocks=0):
-        self.design = design
         if isinstance(blocks, int):
             mask = blocks
         else:
@@ -83,7 +89,8 @@ class BlockSet:
                 mask |= 1 << i
         if mask >> design.b:
             raise DomainError("bit vector longer than the block list")
-        self.mask = mask
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "mask", mask)
 
     def indices(self) -> tuple[int, ...]:
         out = []
@@ -102,16 +109,6 @@ class BlockSet:
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.design.b and (self.mask >> i) & 1 == 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockSet)
-            and self.design is other.design
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.design), self.mask))
 
     def __repr__(self):
         return f"BlockSet({self.indices()})"
@@ -373,10 +370,36 @@ def maximal_family_sizes(design: Design, workers: int = 1) -> dict[int, int]:
     The families are enumerated into a list first, so memory grows with
     their number.  workers is accepted and ignored.
     """
-    sizes: dict[int, int] = {}
-    for fam in enumerate_maximal_ekr(design):
-        sizes[len(fam)] = sizes.get(len(fam), 0) + 1
+    sizes = Counter(map(len, enumerate_maximal_ekr(design)))
     return dict(sorted(sizes.items(), reverse=True))
+
+
+def _max_clique(adj, size: int, R: int, P: int, best: tuple[int, int]) -> tuple[int, int]:
+    """The larger of best and the largest clique R | S, S within P, as (size, mask).
+
+    R is a clique of size blocks whose candidates P are coloured greedily; a
+    child is searched only if its colour bound beats best.
+    """
+    order = []
+    un = P
+    color = 0
+    while un:
+        color += 1
+        avail = un
+        while avail:
+            bit = avail & -avail
+            order.append((bit, color))
+            avail &= ~adj[bit.bit_length() - 1] & ~bit
+            un ^= bit
+    if color == len(order):
+        # every vertex has its own colour, so P is a clique and R | P the best below
+        return (size + color, R | P) if size + color > best[0] else best
+    for bit, c in reversed(order):
+        if size + c <= best[0]:
+            break
+        best = _max_clique(adj, size + 1, R | bit, P & adj[bit.bit_length() - 1], best)
+        P ^= bit
+    return best
 
 
 def max_ekr_size(design: Design) -> BlockSet:
@@ -385,35 +408,9 @@ def max_ekr_size(design: Design) -> BlockSet:
     Seeded with a point pencil (always a clique of the intersection graph), so
     the search only has to certify optimality or beat r.
     """
-    adj = design.intersection_adjacency
-    best = [design.r, design.pencil_masks[0]]
-
-    def expand(size: int, R: int, P: int):
-        # R is a clique of size blocks; colour its candidates P greedily
-        order = []
-        un = P
-        color = 0
-        while un:
-            color += 1
-            avail = un
-            while avail:
-                bit = avail & -avail
-                order.append((bit, color))
-                avail &= ~adj[bit.bit_length() - 1] & ~bit
-                un ^= bit
-        if color == len(order):
-            # every vertex has its own colour, so P is a clique and R | P the best below
-            if size + color > best[0]:
-                best[0], best[1] = size + color, R | P
-            return
-        for bit, c in reversed(order):
-            if size + c <= best[0]:
-                return
-            expand(size + 1, R | bit, P & adj[bit.bit_length() - 1])
-            P ^= bit
-
-    expand(0, 0, (1 << design.b) - 1)
-    return BlockSet(design, best[1])
+    seed = (design.r, design.pencil_masks[0])
+    _, mask = _max_clique(design.intersection_adjacency, 0, 0, (1 << design.b) - 1, seed)
+    return BlockSet(design, mask)
 
 
 # -- O'Nan configurations ---------------------------------------------------

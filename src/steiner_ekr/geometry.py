@@ -186,7 +186,11 @@ class Field:
         return range(self.order)
 
 
-@lru_cache(maxsize=None)
+# GF(2**16) keeps 5.4 MB of tables, so the cache is bounded.  The test suite
+# builds 35 distinct fields and asks for each again later, which sets the
+# bound; a census-cli benchmark pass cycles through 4, a unital build asks for
+# GF(q^2) twice in a row, and every other constructor asks once.
+@lru_cache(maxsize=35)
 def field(q: int) -> Field:
     return Field(q)
 

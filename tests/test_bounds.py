@@ -9,6 +9,7 @@ is held to the linear scan it replaced, and the floors to their bracketing
 sign tests at magnitudes up to 10^40.
 """
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -245,6 +246,21 @@ def test_moment_certificate_single_case():
     assert cert.certified
     assert cert.total_cases == 1
     assert cert.ranges["sum_i"] == 27 and cert.ranges["sum_ii"] == 12
+
+
+def test_sweep_certificate_is_certified_when_nothing_failed():
+    ranges = {"k": [4, 5]}
+    assert bounds.SweepCertificate(ranges, 2, ()).certified
+    assert bounds.SweepCertificate(ranges, 2).certified
+    failed = bounds.SweepCertificate(ranges, 2, (("second", 5),))
+    assert not failed.certified
+    # the field order is the CLI's sweep payload order
+    assert [f.name for f in dataclasses.fields(failed)] == [
+        "ranges",
+        "total_cases",
+        "certified",
+        "failures",
+    ]
 
 
 def test_moment_certificate_window_edges():

@@ -5,6 +5,7 @@ import io
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 import steiner_ekr as se
 from steiner_ekr.designs import (
@@ -85,6 +86,42 @@ def test_pair_repeated_is_reported():
 def test_structural_rejections(v, k, blocks):
     with pytest.raises(ParameterMismatch):
         Design(v, k, blocks)
+
+
+@pytest.mark.parametrize("point", [True, 1.0, "1"])
+def test_points_must_be_ints(point):
+    # (0, True, 2) would build, save as "0 True 2" and fail to load
+    with pytest.raises(ParameterMismatch, match="not an int"):
+        Design(7, 3, [(0, point, 2), *FANO_BLOCKS[1:]])
+
+
+# a point substituted into a relabelled Fano plane: equal to an int, out of
+# range, or of another type
+_SUBSTITUTES = st.one_of(
+    st.none(),
+    st.integers(-2, 8),
+    st.sampled_from([True, False, 1.0, 2.0, "1", 2**70, -(2**70)]),
+)
+
+
+@given(st.permutations(range(7)), st.integers(0, 6), st.integers(0, 2), _SUBSTITUTES)
+def test_every_design_that_builds_saves_and_loads_back(perm, bi, pi, point):
+    blocks = [sorted(perm[p] for p in bl) for bl in FANO_BLOCKS]
+    if point is not None:
+        blocks[bi][pi] = point
+    try:
+        d = Design(7, 3, blocks)
+    except DesignError:
+        return
+    buf = io.StringIO()
+    save_design(d, buf)
+    back = load_design(io.StringIO(buf.getvalue()))
+    assert (back.v, back.k, back.blocks) == (d.v, d.k, d.blocks)
+
+
+def test_design_repr_names_the_design():
+    assert repr(se.projective_plane(2)) == "<projective:2: 2-(7,3,1), b=7>"
+    assert repr(Design(7, 3, FANO_BLOCKS)) == "<design: 2-(7,3,1), b=7>"
 
 
 def test_block_count_is_checked_before_the_pair_scan():

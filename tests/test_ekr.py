@@ -6,6 +6,7 @@ admit one; the larger designs are pinned so any behavioural drift surfaces.
 """
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -61,9 +62,28 @@ def test_blockset_container_protocol():
     assert fam.indices() == (0, 3, 5)
     assert list(fam) == [0, 3, 5]
     assert 3 in fam and 1 not in fam
-    assert fam == BlockSet(d, [0, 3, 5])
-    assert hash(fam) == hash(BlockSet(d, [0, 3, 5]))
+    for same in (BlockSet(d, [0, 3, 5]), BlockSet(d, 0b101001)):
+        assert fam == same and hash(fam) == hash(same)
     assert fam != BlockSet(d, [0, 3])
+    assert repr(fam) == "BlockSet((0, 3, 5))"
+    assert repr(BlockSet(d)) == "BlockSet(())"
+
+
+def test_blockset_is_frozen():
+    d = se.projective_plane(2)
+    fam = BlockSet(d, [0, 3])
+    held = {fam}
+    for name, value in (("mask", 8), ("design", se.projective_plane(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fam, name, value)
+    assert fam.mask == 0b1001 and fam in held and BlockSet(d, 0b1001) in held
+
+
+def test_blockset_equality_is_per_design_object():
+    d, twin = se.projective_plane(2), se.projective_plane(2)
+    assert d.blocks == twin.blocks
+    assert BlockSet(d, [0, 1]) != BlockSet(twin, [0, 1])
+    assert BlockSet(d, 3) != 3
 
 
 def test_blockset_rejects_bad_indices():

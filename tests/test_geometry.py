@@ -31,6 +31,24 @@ def test_prime_fields_below_60():
                 field(n)
 
 
+def test_field_cache_is_bounded():
+    bound = field.cache_info().maxsize
+    assert bound is not None
+    orders = []
+    for q in range(2, MAX_FIELD_ORDER):
+        try:
+            prime_power(q)
+        except DomainError:
+            continue
+        orders.append(q)
+        if len(orders) > bound:
+            break
+    for q in orders:
+        assert field(q).order == q
+        assert field.cache_info().currsize <= bound
+    assert len(orders) > bound
+
+
 def test_prime_power_decomposition():
     assert prime_power(2) == (2, 1)
     assert prime_power(8) == (2, 3)
