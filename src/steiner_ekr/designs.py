@@ -4,13 +4,14 @@ A design here is a point set 0 .. v-1 together with b blocks of k points such
 that every pair of points lies in exactly one block.  Validation is part of
 construction: a ``Design`` instance that exists has passed the pair axiom.
 
-Incidence is kept only as bitmasks, each built from the block list: per
-block its points, per point the blocks through it, and per block the other
-blocks it meets, so memory grows as b^2.  A builtin constructor or a design
-file with more than ``MAX_BLOCKS`` blocks is refused before any block is
-built or read, and a file is read line by line, so a line of more than
-``MAX_LINE_CHARS`` characters is refused before it is read in full.  Every
-geometric builtin is the secant-line design of a point set, built by
+Incidence is kept only as bitmasks, each built from the block list: per block
+its points, per point the blocks through it, and per block the other blocks
+it meets, so memory grows as b^2.  The scan for the first O'Nan configuration
+runs on these masks once per design (``Design.onan``).  A builtin constructor
+or a design file with more than ``MAX_BLOCKS`` blocks is refused before any
+block is built or read, and a file is read line by line, so a line of more
+than ``MAX_LINE_CHARS`` characters is refused before it is read in full.
+Every geometric builtin is the secant-line design of a point set, built by
 ``geometry.secant_lines`` from the lines of a projective space.
 """
 
@@ -147,6 +148,35 @@ class Design:
                 a |= pencils[p]
             adj.append(a & ~(1 << bi))
         return tuple(adj)
+
+    @cached_property
+    def onan(self) -> tuple[int, int, int, int] | None:
+        """The first O'Nan configuration in lexicographic order, or None; see ``ekr.find_onan``."""
+        adj = self.intersection_adjacency
+        masks = self.block_masks
+        pencil = self.pencil_masks
+        n = self.b
+        for a in range(n):
+            na = adj[a] >> (a + 1) << (a + 1)
+            ma = na
+            while ma:
+                bit_b = ma & -ma
+                b = bit_b.bit_length() - 1
+                ma ^= bit_b
+                # p_ab is the one point blocks a and b share; c off its pencil
+                # makes p_ab, p_ac and p_bc distinct
+                p_ab = (masks[a] & masks[b]).bit_length() - 1
+                mc = (na & adj[b] & ~pencil[p_ab]) >> (b + 1) << (b + 1)
+                while mc:
+                    bit_c = mc & -mc
+                    c = bit_c.bit_length() - 1
+                    mc ^= bit_c
+                    p_ac = (masks[a] & masks[c]).bit_length() - 1
+                    p_bc = (masks[b] & masks[c]).bit_length() - 1
+                    md = mc & adj[c] & ~pencil[p_ac] & ~pencil[p_bc]
+                    if md:
+                        return (a, b, c, (md & -md).bit_length() - 1)
+        return None
 
     def block_index(self, block) -> int:
         """Index of a block given as an iterable of points."""

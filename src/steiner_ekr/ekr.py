@@ -8,15 +8,39 @@ its base block, plus the base.  ``shape`` tells the two shapes apart from
 every other family by comparing the family with those masks, and builds no
 concurrency classes.
 
-Enumeration is Bron-Kerbosch with Tomita pivoting from a root whose
-candidates are all blocks.  Every node branches in block index order and its
-pivot ties break toward the smaller index, which makes every stream
-deterministic; no degeneracy order is built, since the intersection graph of
-a 2-(v,k,1) design is regular.  A node whose excluded set holds a block
-meeting every candidate returns at once, children with at most one
+On a design with k >= 3 and no O'Nan configuration, enumeration is a
+closed form: the maximal intersecting families are exactly the v
+point-pencils and the v(b - r) triangles, one per point p and block B off
+p.  Write p_xy for the point that blocks x and y share.
+
+- A family in no pencil has three members a, b, c with distinct pairwise
+  points.  A further member d meets all three, and with no O'Nan
+  configuration d passes one of p_ab, p_ac and p_bc.  If d passes p_ab and
+  e passes p_ac, then {b, c, d, e} is an O'Nan configuration.  So every
+  further member passes one point, p_ab say, and the family lies in the
+  triangle with apex p_ab and base c.
+- Such a design has r > k, since the four lines of a projective plane in
+  general position form an O'Nan configuration.  So a pencil is maximal: a
+  block off p meets only k of the r blocks through p.
+- A triangle T(p, B) is maximal.  A block C off p that met every member
+  would meet B at one point z, and C, B and the members through two other
+  points of B would form an O'Nan configuration; this needs k >= 3.
+- For k >= 3, p is the one point on k members of T(p, B) and B the one
+  member off p, so distinct pairs give distinct triangles, and no triangle
+  is a pencil.
+
+The scan for an O'Nan configuration runs once per design (``Design.onan``).
+At k = 2 a triangle of K_v has three apexes, so those designs are searched.
+
+Every other design is searched by Bron-Kerbosch with Tomita pivoting from a
+root whose candidates are all blocks.  Every node branches in block index
+order and its pivot ties break toward the smaller index, which makes every
+stream deterministic; no degeneracy order is built, since the intersection
+graph of a 2-(v,k,1) design is regular.  A node whose excluded set holds a
+block meeting every candidate returns at once, children with at most one
 candidate are settled in their parent's loop, and a node's last child to
-search continues in the parent's frame.  Families are kept as bit vectors
-and sorted by index tuple at the end.
+search continues in the parent's frame.  Both paths keep families as bit
+vectors and sort them by index tuple at the end.
 """
 
 from __future__ import annotations
@@ -72,18 +96,25 @@ class BlockSet:
     """An immutable set of blocks of one design, stored as a bit vector of indices.
 
     Two block sets are equal when they hold the same blocks of the same
-    design object.
+    design object.  blocks is a bit vector as an int, or an iterable of
+    int indices; a bool, a float or a str in either place raises DomainError.
     """
 
     design: Design
     mask: int
 
     def __init__(self, design: Design, blocks=0):
-        if isinstance(blocks, int):
+        if type(blocks) is int:
             mask = blocks
         else:
+            try:
+                items = iter(blocks)
+            except TypeError:
+                raise DomainError(f"blocks must be an int or an iterable of ints, not {blocks!r}") from None
             mask = 0
-            for i in blocks:
+            for i in items:
+                if type(i) is not int:
+                    raise DomainError(f"block index {i!r} is not an int")
                 if not 0 <= i < design.b:
                     raise DomainError(f"block index {i} outside 0..{design.b - 1}")
                 mask |= 1 << i
@@ -327,6 +358,29 @@ def _bk_pivot(adj, size: int, mask: int, P: int, X: int, min_size: int, out: _Cl
         mask, P, X = mask | bit, Pv, Xv
 
 
+def _pencils_and_triangles(design: Design, min_size: int, cap: float) -> tuple[int, list[int]]:
+    """The count of an O'Nan-free design's maximal families of at least min_size blocks, and their masks.
+
+    The v pencils have r blocks and the v(b - r) triangles k + 1.  When the
+    count passes cap no mask is built and the list is empty.
+    """
+    pencils = design.pencil_masks
+    keep_pencils = design.r >= min_size
+    keep_triangles = design.k + 1 >= min_size
+    count = design.v * (keep_pencils + keep_triangles * (design.b - design.r))
+    if count > cap:
+        return count, []
+    masks = list(pencils) if keep_pencils else []
+    if keep_triangles:
+        masks.extend(
+            _triangle_mask(design, p, i)
+            for p, pencil in enumerate(pencils)
+            for i in range(design.b)
+            if not pencil >> i & 1
+        )
+    return count, masks
+
+
 def enumerate_maximal_ekr(
     design: Design,
     min_size: int = 1,
@@ -336,32 +390,48 @@ def enumerate_maximal_ekr(
 
     The result is materialised and sorted by block index tuple, so identical
     inputs give identical streams.  When more than max_count families exist
-    the search raises BudgetExceeded rather than truncate silently: it keeps
+    the call raises BudgetExceeded rather than truncate silently: it keeps
     at most max_count families but counts them all, so the exception's count
     is exact and memory stays O(max_count).  A negative max_count raises
-    DomainError before the search.
+    DomainError before any work.
 
-    The root of the search is an ordinary node whose candidates are all
-    blocks, so its children are the blocks its pivot misses, and every node
-    branches in block index order.  No degeneracy order is computed: the
-    intersection graph of a 2-(v,k,1) design is regular of degree k(r-1), so
-    its degeneracy is that degree and an order bounds nothing better.  A node
-    returns at once when an excluded block meets every candidate, since no
-    clique below it is then maximal.
+    A design with k >= 3 and no O'Nan configuration takes a closed form: its
+    maximal families are exactly the v point-pencils and the v(b - r)
+    triangles, one per point p and block B off p.  A family in no pencil has
+    three members with distinct pairwise points, and with no O'Nan
+    configuration every further member passes one of those points, the same
+    one for all, so the family lies in a triangle; the module docstring has
+    the whole proof.  The count is known before any mask is built, so a
+    capped call raises at once, and the masks are the design's pencils and
+    ``_triangle_mask(design, p, B)``.  Pencils are kept when r >= min_size,
+    triangles when k + 1 >= min_size.
+
+    Every other design is searched.  The root of the search is an ordinary
+    node whose candidates are all blocks, so its children are the blocks its
+    pivot misses, and every node branches in block index order.  No
+    degeneracy order is computed: the intersection graph of a 2-(v,k,1)
+    design is regular of degree k(r-1), so its degeneracy is that degree and
+    an order bounds nothing better.  A node returns at once when an excluded
+    block meets every candidate, since no clique below it is then maximal.
+    The exact count of a capped search needs the whole search, so the cap
+    bounds its memory, not its time.
     """
     if max_count is not None and max_count < 0:
         raise DomainError(f"the requested cap {max_count} is negative")
     cap = math.inf if max_count is None else max_count
-    adj = design.intersection_adjacency
-    out = _Cliques(cap)
-    _bk_pivot(adj, 0, 0, (1 << design.b) - 1, 0, min_size, out)
-    if out.count > cap:
+    if design.k >= 3 and design.onan is None:
+        count, masks = _pencils_and_triangles(design, min_size, cap)
+    else:
+        out = _Cliques(cap)
+        _bk_pivot(design.intersection_adjacency, 0, 0, (1 << design.b) - 1, 0, min_size, out)
+        count, masks = out.count, out.kept
+    if count > cap:
         raise BudgetExceeded(
-            f"{out.count} maximal families exceed the requested cap {max_count}",
-            count=out.count,
+            f"{count} maximal families exceed the requested cap {max_count}",
+            count=count,
         )
-    _sort_by_indices(out.kept, design.b)
-    return [BlockSet(design, m) for m in out.kept]
+    _sort_by_indices(masks, design.b)
+    return [BlockSet(design, m) for m in masks]
 
 
 def maximal_family_sizes(design: Design, workers: int = 1) -> dict[int, int]:
@@ -423,33 +493,10 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
     intersection points being distinct.  Given a triangle (a, b, c), that holds
     exactly when d avoids the pencils of the corners p_ab, p_ac and p_bc, so
     the candidates for d are one mask.  The scan fixes the least block first,
-    so the first configuration in lexicographic order is returned.
+    so the first configuration in lexicographic order is returned.  The scan
+    runs once per design: its result is the cached ``Design.onan``.
     """
-    adj = design.intersection_adjacency
-    masks = design.block_masks
-    pencil = design.pencil_masks
-    n = design.b
-    for a in range(n):
-        na = adj[a] >> (a + 1) << (a + 1)
-        ma = na
-        while ma:
-            bit_b = ma & -ma
-            b = bit_b.bit_length() - 1
-            ma ^= bit_b
-            # p_ab is the one point blocks a and b share; c off its pencil
-            # makes p_ab, p_ac and p_bc distinct
-            p_ab = (masks[a] & masks[b]).bit_length() - 1
-            mc = (na & adj[b] & ~pencil[p_ab]) >> (b + 1) << (b + 1)
-            while mc:
-                bit_c = mc & -mc
-                c = bit_c.bit_length() - 1
-                mc ^= bit_c
-                p_ac = (masks[a] & masks[c]).bit_length() - 1
-                p_bc = (masks[b] & masks[c]).bit_length() - 1
-                md = mc & adj[c] & ~pencil[p_ac] & ~pencil[p_bc]
-                if md:
-                    return (a, b, c, (md & -md).bit_length() - 1)
-    return None
+    return design.onan
 
 
 # -- classification ---------------------------------------------------------

@@ -11,6 +11,8 @@ import gc
 import hashlib
 import itertools
 import json
+import math
+import pathlib
 import random
 import tracemalloc
 import weakref
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import steiner_ekr as se
 from steiner_ekr.canon import canonical_code, concurrency_classes
+from steiner_ekr.designs import MAX_BLOCKS
 from steiner_ekr.ekr import (
     BlockSet,
     HasONan,
@@ -94,6 +97,13 @@ def test_blockset_rejects_bad_indices():
         BlockSet(d, 1 << 7)
     with pytest.raises(DomainError):
         BlockSet(d, [-1])
+
+
+@pytest.mark.parametrize("blocks", [[1.0], ["1"], "1", [True], 1.5, True, None], ids=repr)
+def test_blockset_rejects_values_that_are_not_ints(blocks):
+    # once a bare TypeError from the bit arithmetic, and True passed as the mask 1
+    with pytest.raises(DomainError):
+        BlockSet(se.projective_plane(2), blocks)
 
 
 def test_intersection_adjacency_fano_is_complete():
@@ -330,14 +340,20 @@ def _enumeration_peak(design, **kwargs):
         tracemalloc.stop()
 
 
-def test_budget_keeps_memory_small():
-    # unital:3 rather than unital:4: tracing slows the search about 20-fold,
-    # to some 8 s a call on unital:4's 12,545 families
-    d = se.hermitian_unital(3)
-    d.intersection_adjacency  # cached on the design, so left out of both peaks
+@pytest.mark.parametrize(
+    "make, arg, families", [(se.hermitian_unital, 3, 1540), (se.affine_plane, 4, 1024)], ids=["unital-3", "affine-4"]
+)
+def test_budget_keeps_memory_small(make, arg, families):
+    # unital:3 takes the closed form, which counts its families and raises
+    # before it builds a mask; affine:4 has O'Nan configurations, so its
+    # capped search keeps ten.  Both are small, as tracing slows the search
+    # about 20-fold.  The search's ratio read 64 on Python 3.11, and 3.10's
+    # tracemalloc also counts recursion frames, which narrows it there.
+    d = make(arg)
+    d.intersection_adjacency, d.onan  # cached on the design, so left out of both peaks
     capped, count = _enumeration_peak(d, max_count=10)
     full, full_count = _enumeration_peak(d)
-    assert count == full_count == 1540
+    assert count == full_count == families
     assert capped < full / 20
 
 
@@ -353,6 +369,17 @@ ORACLE_DESIGNS = (
 )
 
 
+def _networkx_cliques(design):
+    """The maximal cliques of the intersection graph, by networkx, as sorted index tuples."""
+    blocks = [set(bl) for bl in design.blocks]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(design.b))
+    graph.add_edges_from(
+        (i, j) for i, j in itertools.combinations(range(design.b), 2) if blocks[i] & blocks[j]
+    )
+    return sorted(tuple(sorted(c)) for c in nx.find_cliques(graph))
+
+
 @pytest.mark.parametrize("seed", [None, 1, 2])
 @pytest.mark.parametrize(
     "make, arg", ORACLE_DESIGNS, ids=[f"{m.__name__}-{a}" for m, a in ORACLE_DESIGNS]
@@ -361,16 +388,91 @@ def test_enumeration_matches_networkx(make, arg, seed):
     design = make(arg)
     if seed is not None:
         design = _relabelled(design, seed)
-    blocks = [set(bl) for bl in design.blocks]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(design.b))
-    graph.add_edges_from(
-        (i, j) for i, j in itertools.combinations(range(design.b), 2) if blocks[i] & blocks[j]
-    )
-    cliques = sorted(tuple(sorted(c)) for c in nx.find_cliques(graph))
+    cliques = _networkx_cliques(design)
     for min_size in (1, design.k + 1, design.r):
         got = [f.indices() for f in enumerate_maximal_ekr(design, min_size=min_size)]
         assert got == [c for c in cliques if len(c) >= min_size]
+
+
+ANTI_PASCH_STS15 = pathlib.Path(__file__).parent / "data" / "sts15_anti_pasch.txt"
+
+# The O'Nan-free designs with k >= 3 that the closed form is checked on.
+ONAN_FREE_DESIGNS = [
+    (se.hermitian_unital, 2),
+    (se.hermitian_unital, 3),
+    (se.hermitian_unital, 4),
+    (se.affine_plane, 3),
+    (se.load_design, ANTI_PASCH_STS15),
+]
+
+
+def _searched_masks(design, min_size):
+    """The masks _bk_pivot finds with min_size, sorted by index tuple."""
+    out = se.ekr._Cliques(math.inf)
+    se.ekr._bk_pivot(design.intersection_adjacency, 0, 0, (1 << design.b) - 1, 0, min_size, out)
+    se.ekr._sort_by_indices(out.kept, design.b)
+    return out.kept
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize(
+    "make, arg", ONAN_FREE_DESIGNS, ids=["unital-2", "unital-3", "unital-4", "affine-3", "sts15-anti-pasch"]
+)
+def test_closed_form_matches_the_search_and_networkx(make, arg, seed, monkeypatch):
+    design = make(arg)
+    if seed is not None:
+        design = _relabelled(design, seed)
+    assert design.k >= 3 and find_onan(design) is None
+    sizes = (1, design.k + 1, design.r, design.r + 1)
+    searched = {min_size: _searched_masks(design, min_size) for min_size in sizes}
+    cliques = _networkx_cliques(design)
+    assert len(cliques) == design.v * (1 + design.b - design.r)
+    monkeypatch.setattr(se.ekr, "_bk_pivot", None)  # the closed form never searches
+    for min_size in sizes:
+        families = enumerate_maximal_ekr(design, min_size=min_size)
+        assert [f.mask for f in families] == searched[min_size]
+        assert [f.indices() for f in families] == [c for c in cliques if len(c) >= min_size]
+        count = len(families)
+        if count:
+            with pytest.raises(BudgetExceeded) as exc:
+                enumerate_maximal_ekr(design, min_size=min_size, max_count=count - 1)
+            assert exc.value.count == count
+        assert enumerate_maximal_ekr(design, min_size=min_size, max_count=count) == families
+
+
+def test_unital_5_census():
+    # 126 pencils and one triangle per point and block off it: 126 * (525 - 25)
+    assert maximal_family_sizes(se.hermitian_unital(5)) == {25: 126, 7: 63000}
+
+
+@pytest.mark.parametrize(
+    "make, arg",
+    [(se.sts13, 1), (se.pg3_line_design, 2), (se.affine_plane, 4), (se.complete_graph, 7)],
+)
+def test_designs_with_onan_or_k_2_are_searched(make, arg, monkeypatch):
+    design = make(arg)
+    assert design.k == 2 or find_onan(design) is not None
+    calls = []
+    search = se.ekr._bk_pivot
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(se.ekr, "_bk_pivot", counted)
+    assert [f.indices() for f in enumerate_maximal_ekr(design)] == _networkx_cliques(design)
+    assert calls
+
+
+def test_every_builtin_projective_plane_has_an_onan_configuration():
+    # four lines in general position, so no plane takes the closed form;
+    # the orders are every prime power q with q^2 + q + 1 <= MAX_BLOCKS
+    assert 43 * 43 + 43 + 1 <= MAX_BLOCKS < 47 * 47 + 47 + 1
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43):
+        design = se.projective_plane(q)
+        quad = find_onan(design)
+        assert quad == (0, 1, q + 1, 2 * q + 2)
+        _assert_is_onan(design, quad)
 
 
 # Designs whose random sub-families the predicates are checked on, each also relabelled.
