@@ -267,8 +267,8 @@ _STS13_BLOCKS = {
 
 
 def sts13(variant: int) -> Design:
-    """One of the two Steiner triple systems on 13 points (variant 1 or 2)."""
-    if variant not in _STS13_BLOCKS:
+    """One of the two Steiner triple systems on 13 points (variant the int 1 or 2)."""
+    if type(variant) is not int or variant not in _STS13_BLOCKS:
         raise DomainError("variant must be 1 or 2")
     blocks = [tuple(sorted(int(ch, 13) for ch in word)) for word in _STS13_BLOCKS[variant].split()]
     return Design(13, 3, blocks, name=f"sts13:{variant}")

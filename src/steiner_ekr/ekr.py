@@ -41,6 +41,16 @@ block meeting every candidate returns at once, children with at most one
 candidate are settled in their parent's loop, and a node's last child to
 search continues in the parent's frame.  Both paths keep families as bit
 vectors and sort them by index tuple at the end.
+
+The paper's claim has two halves.  The size half, that no intersecting
+family has more than the r blocks of a pencil when b > v, is Delsarte's
+clique bound for the block graph, and ``max_ekr_size`` returns a pencil
+by it with no search.  The uniqueness half, that the pencils are the only
+families of r blocks, holds exactly when L < r, L the size of the largest
+family in no pencil.  The paper proves it for the (k, r) that
+``bounds.replication_threshold`` and ``bounds.near_extremal_threshold``
+mark.  On an O'Nan-free design with k >= 3 the closed form above gives
+L = k + 1; no other design's L is computed yet.
 """
 
 from __future__ import annotations
@@ -113,10 +123,7 @@ class BlockSet:
                 raise DomainError(f"blocks must be an int or an iterable of ints, not {blocks!r}") from None
             mask = 0
             for i in items:
-                if type(i) is not int:
-                    raise DomainError(f"block index {i!r} is not an int")
-                if not 0 <= i < design.b:
-                    raise DomainError(f"block index {i} outside 0..{design.b - 1}")
+                _check_index("block index", i, design.b)
                 mask |= 1 << i
         if mask >> design.b:
             raise DomainError("bit vector longer than the block list")
@@ -199,19 +206,24 @@ def is_maximal(family: BlockSet) -> bool:
     return meeting == family.mask
 
 
+def _check_index(name: str, i, n: int) -> None:
+    """Refuse an index i that is not an int (a bool included) or lies outside 0..n-1."""
+    if type(i) is not int:
+        raise DomainError(f"{name} {i!r} is not an int")
+    if not 0 <= i < n:
+        raise DomainError(f"{name} {i} outside 0..{n - 1}")
+
+
 def point_pencil(design: Design, point: int) -> BlockSet:
     """The r blocks through a point."""
-    if not 0 <= point < design.v:
-        raise DomainError(f"point {point} outside 0..{design.v - 1}")
+    _check_index("point", point, design.v)
     return BlockSet(design, design.pencil_masks[point])
 
 
 def triangle(design: Design, point: int, block: int) -> BlockSet:
     """A base block plus every block through an external point that meets it."""
-    if not 0 <= point < design.v:
-        raise DomainError(f"point {point} outside 0..{design.v - 1}")
-    if not 0 <= block < design.b:
-        raise DomainError(f"block index {block} outside 0..{design.b - 1}")
+    _check_index("point", point, design.v)
+    _check_index("block index", block, design.b)
     if point in design.blocks[block]:
         raise PointOnBlock(f"point {point} lies on block {block}")
     return BlockSet(design, _triangle_mask(design, point, block))
@@ -392,8 +404,9 @@ def enumerate_maximal_ekr(
     inputs give identical streams.  When more than max_count families exist
     the call raises BudgetExceeded rather than truncate silently: it keeps
     at most max_count families but counts them all, so the exception's count
-    is exact and memory stays O(max_count).  A negative max_count raises
-    DomainError before any work.
+    is exact and memory stays O(max_count).  A min_size that is not an int,
+    or a max_count that is neither None nor an int, a bool included in both,
+    raises DomainError before any work, and so does a negative max_count.
 
     A design with k >= 3 and no O'Nan configuration takes a closed form: its
     maximal families are exactly the v point-pencils and the v(b - r)
@@ -416,8 +429,13 @@ def enumerate_maximal_ekr(
     The exact count of a capped search needs the whole search, so the cap
     bounds its memory, not its time.
     """
-    if max_count is not None and max_count < 0:
-        raise DomainError(f"the requested cap {max_count} is negative")
+    if type(min_size) is not int:
+        raise DomainError(f"min_size {min_size!r} is not an int")
+    if max_count is not None:
+        if type(max_count) is not int:
+            raise DomainError(f"the requested cap {max_count!r} is not an int")
+        if max_count < 0:
+            raise DomainError(f"the requested cap {max_count} is negative")
     cap = math.inf if max_count is None else max_count
     if design.k >= 3 and design.onan is None:
         count, masks = _pencils_and_triangles(design, min_size, cap)
@@ -444,42 +462,20 @@ def maximal_family_sizes(design: Design, workers: int = 1) -> dict[int, int]:
     return dict(sorted(sizes.items(), reverse=True))
 
 
-def _max_clique(adj, size: int, R: int, P: int, best: tuple[int, int]) -> tuple[int, int]:
-    """The larger of best and the largest clique R | S, S within P, as (size, mask).
-
-    R is a clique of size blocks whose candidates P are coloured greedily; a
-    child is searched only if its colour bound beats best.
-    """
-    order = []
-    un = P
-    color = 0
-    while un:
-        color += 1
-        avail = un
-        while avail:
-            bit = avail & -avail
-            order.append((bit, color))
-            avail &= ~adj[bit.bit_length() - 1] & ~bit
-            un ^= bit
-    if color == len(order):
-        # every vertex has its own colour, so P is a clique and R | P the best below
-        return (size + color, R | P) if size + color > best[0] else best
-    for bit, c in reversed(order):
-        if size + c <= best[0]:
-            break
-        best = _max_clique(adj, size + 1, R | bit, P & adj[bit.bit_length() - 1], best)
-        P ^= bit
-    return best
-
-
 def max_ekr_size(design: Design) -> BlockSet:
-    """A maximum intersecting family, found by branch and bound.
+    """A maximum intersecting family: the pencil of point 0 when b > v, else all blocks.
 
-    Seeded with a point pencil (always a clique of the intersection graph), so
-    the search only has to certify optimality or beat r.
+    Let N be the v x b incidence matrix and x the 0/1 vector of an
+    intersecting family of s blocks.  Two members meet in one point, so
+    |Nx|^2 = sk + s(s - 1).  N N^T = (r - 1)I + J, so N^T N has eigenvalue rk
+    on the all-ones vector, r - 1 on the rest of N's row space and 0 on N's
+    kernel, and splitting x along them gives
+    |Nx|^2 <= rk s^2/b + (r - 1)(s - s^2/b).  With bk = vr and
+    v = r(k - 1) + 1 this is s(r - k) <= r(r - k), so s <= r when r > k,
+    that is when b > v: Delsarte's clique bound for the block graph.  When
+    b = v the design is a projective plane, and every two blocks meet.
     """
-    seed = (design.r, design.pencil_masks[0])
-    _, mask = _max_clique(design.intersection_adjacency, 0, 0, (1 << design.b) - 1, seed)
+    mask = design.pencil_masks[0] if design.b > design.v else (1 << design.b) - 1
     return BlockSet(design, mask)
 
 

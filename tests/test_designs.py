@@ -56,6 +56,13 @@ def test_sts13_variants_differ():
         se.sts13(3)
 
 
+@pytest.mark.parametrize("variant", [True, 1.0, 2.0, "1", 0, 3], ids=repr)
+def test_sts13_refuses_a_variant_that_is_not_the_int_1_or_2(variant):
+    # True and 1.0 once built designs named sts13:True and sts13:1.0
+    with pytest.raises(se.DomainError, match="^variant must be 1 or 2$"):
+        se.sts13(variant)
+
+
 def test_block_list_is_sorted():
     d = Design(7, 3, list(reversed(FANO_BLOCKS)))
     assert d.blocks[0] == (0, 1, 2)

@@ -43,6 +43,7 @@ from steiner_ekr.ekr import (
     triangle,
 )
 from steiner_ekr.errors import BudgetExceeded, DomainError
+from steiner_ekr.geometry import prime_power
 
 
 # Every builtin design the classification digest covers.
@@ -203,6 +204,25 @@ def test_triangle_structure():
         triangle(d, external, d.b)
 
 
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (point_pencil, (1.0,)),
+        (point_pencil, (True,)),
+        (point_pencil, ("1",)),
+        (triangle, (0, 6.0)),
+        (triangle, (0, True)),
+        (triangle, (1.0, 6)),
+        (triangle, (False, 6)),
+    ],
+    ids=repr,
+)
+def test_shapes_refuse_an_index_that_is_not_an_int(make, args):
+    # once a bare TypeError, and point_pencil(d, True) was the pencil of point 1
+    with pytest.raises(DomainError, match="is not an int$"):
+        make(se.sts13(1), *args)
+
+
 def test_maximality_predicates():
     d = se.sts13(1)
     pencil = point_pencil(d, 0)
@@ -297,6 +317,28 @@ def test_negative_budget_is_refused_before_the_search(monkeypatch):
     for cap in (-1, -201):
         with pytest.raises(DomainError, match=f"^the requested cap {cap} is negative$"):
             enumerate_maximal_ekr(d, max_count=cap)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"min_size": "3"},
+        {"min_size": 3.0},
+        {"min_size": True},
+        {"max_count": 1.5},
+        {"max_count": True},
+        {"max_count": "10"},
+    ],
+    ids=repr,
+)
+def test_enumeration_refuses_arguments_that_are_not_ints(monkeypatch, kwargs):
+    # max_count=1.5 was once a cap printed in BudgetExceeded, and min_size="3"
+    # a bare TypeError; the refusal comes before the O'Nan scan and the search
+    monkeypatch.setattr(se.ekr, "_bk_pivot", None)
+    design = se.sts13(1)
+    with pytest.raises(DomainError, match="is not an int$"):
+        enumerate_maximal_ekr(design, **kwargs)
+    assert "onan" not in design.__dict__
 
 
 @pytest.mark.parametrize("make, arg", [(se.sts13, 1), (se.hermitian_unital, 3)])
@@ -562,6 +604,75 @@ def test_max_ekr_size_witness_digest():
         for d in (design, _relabelled(design, arg)):
             witnesses.append(max_ekr_size(d).indices())
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16] == WITNESS_DIGEST
+
+
+def _prime_powers(top):
+    out = []
+    for q in range(2, top + 1):
+        try:
+            prime_power(q)
+        except DomainError:
+            continue
+        out.append(q)
+    return out
+
+
+# Every builtin design with b > v under the block cap, so all but the planes:
+# affine:47, pg3:7, unital:7 and kgraph:64 pass the cap.
+BLOCK_GRAPH_CORPUS = (
+    [(se.affine_plane, q) for q in _prime_powers(43)]
+    + [(se.pg3_line_design, q) for q in _prime_powers(5)]
+    + [(se.hermitian_unital, q) for q in _prime_powers(5)]
+    + [(se.complete_graph, v) for v in range(4, 64)]
+    + [(se.sts13, 1), (se.sts13, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "make, arg", BLOCK_GRAPH_CORPUS, ids=[f"{make.__name__}-{arg}" for make, arg in BLOCK_GRAPH_CORPUS]
+)
+def test_block_graph_is_strongly_regular(make, arg):
+    # the premises of max_ekr_size's bound: two meeting blocks have
+    # r - 2 + (k - 1)^2 common neighbours and two disjoint ones k^2
+    design = make(arg)
+    designs = [design]
+    # a relabelled copy moves every block index; past 500 blocks it is left
+    # out, since it would double the count's time on an isomorphic graph
+    if design.b <= 500:
+        designs.append(_relabelled(design, arg))
+    for d in designs:
+        assert d.b > d.v
+        lam, mu = d.r - 2 + (d.k - 1) ** 2, d.k**2
+        adj = d.intersection_adjacency
+        for i, row in enumerate(adj):
+            meets = f"{row:0{d.b}b}"[::-1]
+            counts = [(row & other).bit_count() for other in adj[i + 1 :]]
+            assert counts == [lam if bit == "1" else mu for bit in meets[i + 1 :]], i
+
+
+@pytest.mark.parametrize(
+    "make, arg, non_pencils",
+    [
+        (se.pg3_line_design, 2, 15),  # the Fano planes of PG(3,2)
+        (se.pg3_line_design, 3, 40),  # the line sets of the planes of PG(3,3)
+        (se.affine_plane, 3, 72),  # the triangles, of k + 1 = r blocks
+        (se.affine_plane, 4, 1008),
+        (se.hermitian_unital, 3, 0),
+        (se.sts13, 1, 0),
+    ],
+)
+def test_every_block_outside_a_family_of_r_blocks_meets_k_members(make, arg, non_pencils):
+    # equality in max_ekr_size's bound: x lies in the row space of the
+    # incidence matrix, so each outside block meets exactly k members
+    design = make(arg)
+    families = enumerate_maximal_ekr(design, min_size=design.r)
+    assert {len(f) for f in families} == {design.r}
+    assert sum(f.mask not in design.pencil_masks for f in families) == non_pencils
+    blocks = [set(bl) for bl in design.blocks]
+    for fam in families:
+        for j in range(design.b):
+            if j not in fam:
+                assert sum(bool(blocks[j] & blocks[i]) for i in fam) == design.k
 
 
 def test_plane_of_order_32_needs_no_deep_recursion():
