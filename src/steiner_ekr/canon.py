@@ -33,6 +33,19 @@ changes (McKay & Piperno, "Practical graph isomorphism II", arXiv:1301.1493):
 Together they keep highly symmetric inputs (pencils, full plane line sets)
 cheap: a pencil of s members visits s(s+1)/2 nodes, not s! leaves.
 
+The refinement kernel runs in rounds.  A round keys each subset by its sorted
+colours and ranks those keys by size, then by colours; it keys each element
+by its colour and the sorted ranks of its subsets, and ranks those keys into
+the new colours.  Both reads go through ``operator.itemgetter`` gathers built
+once per system, one over each subset's elements and one over each element's
+subset indices, so no Python loop runs per incidence.  A round that splits
+no cell ends the refinement and returns its input, since dense colours are
+their own ranks.  The leaf code reads the subset gathers, and a node keeps
+an automorphism g when the gather of its fixed prefix from g equals the
+prefix.  An integer key per subset, one digit per colour, would replace its
+sort by a sum, but the digits grow with s: on projective:7's plane (s = 57)
+the sums cost more than the sorts they replace, so the keys stay tuples.
+
 One system skips the search: a single class holding the whole ground set,
 the concurrency classes of a point-pencil.  Every permutation preserves it,
 so every leaf has the code (0, 1, ..., s-1).  The shortcut stays because the
@@ -56,31 +69,62 @@ the 40 plane line sets of pg3:3 are one.  The uncached search,
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError
 
 __all__ = ["canonical_code", "canonical_set_system", "concurrency_classes"]
 
 
-def _refine(
-    subs: tuple[tuple[int, ...], ...], mem: list[list[int]], colors: list[int]
-) -> list[int]:
-    """Stable coloring of 0..s-1 jointly refined with the class colors, as dense ranks."""
+def _gather(*idx: int):
+    """A function taking a sequence seq to the sequence of seq[i] for i in idx, of any length.
+
+    ``itemgetter`` returns a bare item for one index and takes no index at all,
+    so a short idx gathers by a slice.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+
+
+def _incidence(s: int, subs) -> tuple[list, list]:
+    """The gathers _refine reads: each subset's elements, and each element's subset indices."""
+    mem: list[list[int]] = [[] for _ in range(s)]
+    for si, S in enumerate(subs):
+        for e in S:
+            mem[e].append(si)
+    return [_gather(*S) for S in subs], [_gather(*m) for m in mem]
+
+
+def _refine(subsets: list, members: list, colors: list[int]) -> list[int]:
+    """Stable coloring of 0..s-1 jointly refined with the class colors, as dense ranks.
+
+    subsets holds the gather of each class's elements and members the gather
+    of each element's class indices; colors must be dense.
+    """
+    cells = len(set(colors))
     while True:
-        scol = [(len(S), tuple(sorted(colors[e] for e in S))) for S in subs]
-        srank = {key: i for i, key in enumerate(sorted(set(scol)))}
-        esig = [(col, tuple(sorted(srank[scol[si]] for si in m))) for col, m in zip(colors, mem)]
-        erank = {key: i for i, key in enumerate(sorted(set(esig)))}
-        new = [erank[sig] for sig in esig]
-        if new == colors:
-            return new
-        colors = new
+        skey = [tuple(sorted(g(colors))) for g in subsets]
+        # by size, then by sorted colours: the stable sort by len keeps the second order
+        srank = {key: i for i, key in enumerate(sorted(sorted(set(skey)), key=len))}
+        ranks = list(map(srank.__getitem__, skey))
+        esig = [(col, tuple(sorted(g(ranks)))) for col, g in zip(colors, members)]
+        sigs = set(esig)
+        if len(sigs) == cells:
+            # no cell split: the ranks of dense colours are the colours
+            return colors
+        cells = len(sigs)
+        erank = {sig: i for i, sig in enumerate(sorted(sigs))}
+        colors = list(map(erank.__getitem__, esig))
 
 
 def _individualize(colors: list[int], x: int) -> list[int]:
     """Split x's cell of a dense colouring: x keeps its colour c, its cell-mates take c + 1."""
     c = colors[x]
-    return [col + 1 if col > c or col == c and e != x else col for e, col in enumerate(colors)]
+    new = [col + (col >= c) for col in colors]
+    new[x] = c
+    return new
 
 
 def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) -> None:
@@ -97,16 +141,17 @@ def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) ->
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a set system over ground set 0..s-1.
 
-    A negative s, or an element that is not an int or lies outside 0..s-1,
-    raises DomainError.
+    An s that is not a nonnegative int, or an element that is not an int or
+    lies outside 0..s-1, raises DomainError; a bool is not an int here.
     """
+    if type(s) is not int or s < 0:
+        raise DomainError(f"ground set size {s!r} is not a nonnegative int")
     subs = [frozenset(S) for S in subsets]
-    elements = frozenset().union(*subs)
-    if s < 0:
-        raise DomainError("ground set size must be nonnegative")
-    if not all(isinstance(e, int) for e in elements):
+    # each subset's own elements: their union would merge a True into a 1
+    elements = list(chain.from_iterable(subs))
+    if not set(map(type, elements)) <= {int}:
         raise DomainError("set system has an element that is not an int")
-    if not elements <= frozenset(range(s)):
+    if elements and not 0 <= min(elements) <= max(elements) < s:
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if len(subs) == 1 and len(subs[0]) == s:
         return (tuple(range(s)),)
@@ -116,10 +161,7 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=4096)  # affine:5 searches 286 distinct systems, 6 of them triangles
 def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The minimum leaf code of the individualisation-refinement tree."""
-    mem: list[list[int]] = [[] for _ in range(s)]
-    for si, S in enumerate(subs):
-        for e in S:
-            mem[e].append(si)
+    subsets, members = _incidence(s, subs)
 
     best_code: tuple | None = None
     inv_best: list[int] = []
@@ -128,15 +170,13 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
 
     def visit_leaf(colors: list[int], fixed: list[int]) -> int:
         nonlocal best_code, inv_best, best_path
-        code = tuple(sorted(tuple(sorted(colors[e] for e in S)) for S in subs))
+        code = tuple(sorted(tuple(sorted(g(colors))) for g in subsets))
         if best_code is None or code < best_code:
             best_code = code
-            inv_best = [0] * s
-            for e in range(s):
-                inv_best[colors[e]] = e
+            inv_best = sorted(range(s), key=colors.__getitem__)
             best_path = fixed
         elif code == best_code:
-            autos.append(tuple(inv_best[colors[e]] for e in range(s)))
+            autos.append(tuple(map(inv_best.__getitem__, colors)))
             # it maps this leaf's path onto the best leaf's: it fixes their
             # common prefix and carries the rest of this subtree onto the
             # sibling subtree already searched, so resume at the branch point
@@ -145,18 +185,18 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
 
     def search(colors: list[int], fixed: list[int]) -> int:
         """Search below a node; return the depth at which the search resumes."""
-        count = [0] * s
-        for col in colors:
-            count[col] += 1
-        c = next((col for col in range(s) if count[col] > 1), None)
+        # colours are dense, so the sorted colours first fall below their
+        # index at the second member of the first non-singleton cell
+        c = next((col for i, col in enumerate(sorted(colors)) if col < i), None)
         if c is None:
             return visit_leaf(colors, fixed)
         depth = len(fixed)
         gens: list[tuple[int, ...]] = []  # the automorphisms in autos that fix fixed pointwise
         seen = 0
         orbit: set[int] = set()  # closure of the visited children under gens
-        for x in [e for e in range(s) if colors[e] == c]:
-            new = [g for g in autos[seen:] if all(g[f] == f for f in fixed)]
+        at_fixed, fixed_t = _gather(*fixed), tuple(fixed)
+        for x in [e for e, col in enumerate(colors) if col == c]:
+            new = [g for g in autos[seen:] if at_fixed(g) == fixed_t]
             seen = len(autos)
             if new:
                 gens += new
@@ -165,12 +205,12 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
                 continue
             orbit.add(x)
             _close(orbit, [x], gens)
-            level = search(_refine(subs, mem, _individualize(colors, x)), fixed + [x])
+            level = search(_refine(subsets, members, _individualize(colors, x)), fixed + [x])
             if level < depth:
                 return level
         return depth
 
-    search(_refine(subs, mem, [0] * s), [])
+    search(_refine(subsets, members, [0] * s), [])
     assert best_code is not None
     return best_code
 

@@ -206,32 +206,36 @@ MAX_BLOCKS = 2000
 MAX_LINE_CHARS = 1 << 16
 
 
-def _check_block_count(kind: str, n: int, b: int) -> None:
-    """Refuse kind:n, which has b blocks, before building it when b passes MAX_BLOCKS.
+def _check_block_count(kind: str, n: int, blocks) -> None:
+    """Refuse kind:n before building it when n is not an int or its blocks() blocks pass MAX_BLOCKS.
 
-    A parameter below 1 names no design; the constructor's own checks reject it.
+    A bool is not an int here.  A parameter below 1 names no design; the
+    constructor's own checks reject it.
     """
+    if type(n) is not int:
+        raise DesignError(f"{kind} parameter {n!r} is not an int")
+    b = blocks()
     if n > 0 and b > MAX_BLOCKS:
         raise DesignError(f"{kind}:{n} would have {b} blocks, more than the {MAX_BLOCKS} allowed")
 
 
 def projective_plane(q: int) -> Design:
     """Lines of PG(2, q): a 2-(q^2+q+1, q+1, 1) design."""
-    _check_block_count("projective", q, q * q + q + 1)
+    _check_block_count("projective", q, lambda: q * q + q + 1)
     pts, lines = pg_lines(2, q)
     return Design(len(pts), q + 1, lines, name=f"projective:{q}")
 
 
 def pg3_line_design(q: int) -> Design:
     """Lines of PG(3, q): a 2-((q^2+1)(q+1), q+1, 1) design."""
-    _check_block_count("pg3", q, (q * q + 1) * (q * q + q + 1))
+    _check_block_count("pg3", q, lambda: (q * q + 1) * (q * q + q + 1))
     pts, lines = pg_lines(3, q)
     return Design(len(pts), q + 1, lines, name=f"pg3:{q}")
 
 
 def affine_plane(q: int) -> Design:
     """Lines of AG(2, q): a 2-(q^2, q, 1) design; point (x, y) has index x*q + y."""
-    _check_block_count("affine", q, q * q + q)
+    _check_block_count("affine", q, lambda: q * q + q)
     fld = field(q)
     pts = [(1, x, y) for x in fld.elements for y in fld.elements]
     return Design(q * q, q, secant_lines(fld, pts), name=f"affine:{q}")
@@ -239,7 +243,7 @@ def affine_plane(q: int) -> Design:
 
 def hermitian_unital(q: int) -> Design:
     """Secant-line design of the Hermitian curve: 2-(q^3+1, q+1, 1)."""
-    _check_block_count("unital", q, q * q * (q * q - q + 1))
+    _check_block_count("unital", q, lambda: q * q * (q * q - q + 1))
     # the curve first: it factors q itself, so an error names q, not q**2
     pts = hermitian_points(q)
     return Design(q**3 + 1, q + 1, secant_lines(field(q * q), pts), name=f"unital:{q}")
@@ -247,7 +251,7 @@ def hermitian_unital(q: int) -> Design:
 
 def complete_graph(v: int) -> Design:
     """Edge set of K_v as a 2-(v, 2, 1) design."""
-    _check_block_count("kgraph", v, v * (v - 1) // 2)
+    _check_block_count("kgraph", v, lambda: v * (v - 1) // 2)
     blocks = [(i, j) for i in range(v) for j in range(i + 1, v)]
     return Design(v, 2, blocks, name=f"kgraph:{v}")
 

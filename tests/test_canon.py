@@ -5,18 +5,21 @@ concurrency structure: which member blocks run through which multiply
 covered points.  networkx is used only here, as an independent oracle.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from steiner_ekr import canon
 from steiner_ekr.canon import (
+    _incidence,
     _individualize,
     _refine,
     _search,
@@ -93,14 +96,30 @@ def test_canonical_set_system_spot():
         (-1, []),
         (3, [[0.0, 2]]),
         (3, [[Fraction(1), 2]]),
+        (3, [[True, 2]]),
+        (3, [[0, 1], [True]]),
+        (2.5, []),
+        ("3", [[0]]),
+        (True, [[0]]),
     ],
 )
 def test_canonical_set_system_refuses_elements_outside_the_ground_set(s, subsets):
     # -1 would index from the end and 5 past it: each once gave a wrong form or an
     # IndexError; 0.0 and Fraction(1) equal ground elements but once failed in the
-    # search with a bare TypeError
+    # search with a bare TypeError; a bool element once passed as an int, and so
+    # did the size True, while 2.5 and "3" failed with a bare TypeError
     with pytest.raises(DomainError):
         canonical_set_system(s, subsets)
+
+
+@pytest.mark.parametrize("s", [-1, 2.5, "3", True, None], ids=repr)
+def test_canonical_set_system_refuses_a_bad_size_before_reading_the_subsets(s):
+    def unread():
+        raise AssertionError("the subsets were read")
+        yield
+
+    with pytest.raises(DomainError):
+        canonical_set_system(s, unread())
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])
@@ -157,17 +176,65 @@ def test_individualize_equals_the_sort_on_dense_colourings(s):
     assert splits
 
 
-def _leaf_codes(s, subsets):
-    """Every leaf code of the search tree, in search order, without pruning.
-
-    Same refinement and target cell as canonical_set_system, and the
-    individualisation by sorting.
-    """
-    subs = [frozenset(S) for S in subsets]
+def _members(s, subs):
+    """Per element of 0..s-1, the indices of the subsets holding it."""
     mem = [[] for _ in range(s)]
     for si, S in enumerate(subs):
         for e in S:
             mem[e].append(si)
+    return mem
+
+
+def _refine_by_sort(subs, mem, colors):
+    """Refine by ranking keys built afresh each round: the kernel's reference.
+
+    Subsets are keyed by (size, sorted colours), elements by (colour, sorted
+    subset ranks), and a round that changes no colour ends the refinement.
+    """
+    while True:
+        scol = [(len(S), tuple(sorted(colors[e] for e in S))) for S in subs]
+        srank = {key: i for i, key in enumerate(sorted(set(scol)))}
+        esig = [(col, tuple(sorted(srank[scol[si]] for si in m))) for col, m in zip(colors, mem)]
+        erank = {key: i for i, key in enumerate(sorted(set(esig)))}
+        new = [erank[sig] for sig in esig]
+        if new == colors:
+            return new
+        colors = new
+
+
+@st.composite
+def _systems_with_colourings(draw):
+    """A set system over 0..s-1, repeats allowed, and a dense colouring of its ground set."""
+    s = draw(st.integers(min_value=0, max_value=9))
+    subs = draw(st.lists(st.frozensets(st.integers(0, max(s - 1, 0)), max_size=s), max_size=8))
+    if subs:
+        subs += draw(st.lists(st.sampled_from(subs), max_size=3))
+    raw = draw(st.lists(st.integers(0, max(s - 1, 0)), min_size=s, max_size=s))
+    rank = {col: i for i, col in enumerate(sorted(set(raw)))}
+    return s, tuple(tuple(sorted(S)) for S in subs), [rank[col] for col in raw]
+
+
+@given(_systems_with_colourings())
+@example((0, (), []))
+@example((0, ((), ()), []))
+@example((1, ((0,),), [0]))
+@example((3, ((0,), (0,), (1, 2)), [0, 0, 0]))  # a repeated singleton
+@example((5, ((0, 1), (1, 2)), [0, 0, 0, 0, 0]))  # degrees 0, 1 and 2 in one cell
+@example((6, ((0, 1, 2), (3, 4), (3, 4), ()), [1, 0, 0, 2, 1, 0]))
+@settings(max_examples=400, deadline=None)
+def test_refine_equals_the_sort_on_dense_colourings(case):
+    s, subs, colors = case
+    assert _refine(*_incidence(s, subs), list(colors)) == _refine_by_sort(subs, _members(s, subs), colors)
+
+
+def _leaf_codes(s, subsets):
+    """Every leaf code of the search tree, in search order, without pruning.
+
+    Same target cell as canonical_set_system, with the refinement and the
+    individualisation by sorting.
+    """
+    subs = [frozenset(S) for S in subsets]
+    mem = _members(s, subs)
 
     def leaves(colors):
         cells = {}
@@ -178,9 +245,9 @@ def _leaf_codes(s, subsets):
             yield tuple(sorted(tuple(sorted(colors[e] for e in S)) for S in subs))
             return
         for x in target:
-            yield from leaves(_refine(subs, mem, _individualize_by_sort(colors, x)))
+            yield from leaves(_refine_by_sort(subs, mem, _individualize_by_sort(colors, x)))
 
-    return leaves(_refine(subs, mem, [0] * s))
+    return leaves(_refine_by_sort(subs, mem, [0] * s))
 
 
 def _reference_form(s, subsets, max_leaves):
@@ -320,6 +387,38 @@ def test_search_tree_is_pinned_by_its_refine_calls(monkeypatch):
     ]
     for (s, subs), calls in cases:
         assert _refine_calls(monkeypatch, s, subs) == calls
+
+
+def _relabelled(design, seed):
+    import steiner_ekr as se
+
+    perm = list(range(design.v))
+    random.Random(seed).shuffle(perm)
+    return se.Design(design.v, design.k, [sorted(perm[p] for p in bl) for bl in design.blocks])
+
+
+# sha256 of the classify rows [label, size, count, code] of pg3:3 at min_size
+# 13 relabelled by random.Random(seed) for seeds 1-3, then of projective:2-5.
+# Relabelled, the 40 plane line sets of pg3:3 are 28, 24 and 26 labelled
+# systems, so the memo misses and the search runs on each; a plane's one
+# family is one system.  Recorded with the refinement that _refine_by_sort restates.
+MEMO_MISS_DIGEST = "dfd7f292e967cb2acb232bee48e2e7549fdad1772f4b7199ba68b05312c13067"
+
+
+def test_searched_codes_are_pinned_by_a_digest():
+    import steiner_ekr as se
+
+    cases = [(_relabelled(se.pg3_line_design(3), seed), 13) for seed in (1, 2, 3)]
+    cases += [(se.projective_plane(q), 1) for q in (2, 3, 4, 5)]
+    record = []
+    searched = 0
+    for design, min_size in cases:
+        families = se.enumerate_maximal_ekr(design, min_size=min_size)
+        _search.cache_clear()
+        record.append([[t.label, t.size, count, t.code] for t, count in se.classify(design, families)])
+        searched += _search.cache_info().misses
+    assert searched == 28 + 24 + 26 + 4
+    assert hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest() == MEMO_MISS_DIGEST
 
 
 def test_large_pencil_is_fast():

@@ -63,6 +63,18 @@ def test_sts13_refuses_a_variant_that_is_not_the_int_1_or_2(variant):
         se.sts13(variant)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [se.projective_plane, se.affine_plane, se.pg3_line_design, se.hermitian_unital, se.complete_graph],
+    ids=lambda make: make.__name__,
+)
+@pytest.mark.parametrize("param", [3.0, 2.5, "3", True, None], ids=repr)
+def test_builtin_constructors_refuse_a_parameter_that_is_not_an_int(make, param):
+    # 3.0 once failed deep in the construction with a bare TypeError
+    with pytest.raises(se.DomainError, match=" is not an int$"):
+        make(param)
+
+
 def test_block_list_is_sorted():
     d = Design(7, 3, list(reversed(FANO_BLOCKS)))
     assert d.blocks[0] == (0, 1, 2)
