@@ -7,7 +7,11 @@ construction: a ``Design`` instance that exists has passed the pair axiom.
 Incidence is kept only as bitmasks, each built from the block list: per block
 its points, per point the blocks through it, and per block the other blocks
 it meets, so memory grows as b^2.  The scan for the first O'Nan configuration
-runs on these masks once per design (``Design.onan``).  A builtin constructor
+runs on these masks once per design (``Design.onan``), once per intersecting
+block pair a < b: a configuration holds both exactly when a, b and the
+(k - 1)^2 blocks joining a - p to b - p, p their common point, cover fewer
+than 2k - 1 + (k - 1)^2 (k - 2) points, and the first such pair is the two
+least blocks of the first configuration.  A builtin constructor
 or a design file with more than ``MAX_BLOCKS`` blocks is refused before any
 block is built or read, and a file is read line by line, so a line of more
 than ``MAX_LINE_CHARS`` characters is refused before it is read in full.
@@ -151,20 +155,51 @@ class Design:
 
     @cached_property
     def onan(self) -> tuple[int, int, int, int] | None:
-        """The first O'Nan configuration in lexicographic order, or None; see ``ekr.find_onan``."""
+        """The first O'Nan configuration in lexicographic order, or None; see ``ekr.find_onan``.
+
+        The scan tests each intersecting pair a < b once.  Per block a,
+        ``cone[y]`` is the point mask of the k blocks joining a point y off a
+        to a, built in one pass over the blocks through the points of a.
+        For a later block b meeting a at p, the union of ``cone[y]`` over the
+        points y of b - p is a, b and their (k - 1)^2 transversals, and it has
+        2k - 1 + (k - 1)^2 (k - 2) points exactly when no O'Nan configuration
+        holds both a and b.  The first pair short of that count is the two
+        least blocks of the first configuration, and only that pair is
+        searched for its c and d: a block c > b meeting a and b off p makes
+        p_ab, p_ac and p_bc distinct, and then the candidates for d are one
+        mask.
+        """
         adj = self.intersection_adjacency
         masks = self.block_masks
         pencil = self.pencil_masks
-        n = self.b
-        for a in range(n):
+        blocks = self.blocks
+        # per point, the mask and points of each block through it
+        through = [[] for _ in range(self.v)]
+        for m, bl in zip(masks, blocks):
+            for p in bl:
+                through[p].append((m, bl))
+        k = self.k
+        full = 2 * k - 1 + (k - 1) ** 2 * (k - 2)
+        for a in range(self.b):
             na = adj[a] >> (a + 1) << (a + 1)
+            cone = [0] * self.v
+            for x in blocks[a]:
+                for m, bl in through[x]:
+                    for y in bl:
+                        cone[y] |= m
+            # cleared on a, so b's point p adds nothing to the union below
+            for x in blocks[a]:
+                cone[x] = 0
             ma = na
             while ma:
                 bit_b = ma & -ma
                 b = bit_b.bit_length() - 1
                 ma ^= bit_b
-                # p_ab is the one point blocks a and b share; c off its pencil
-                # makes p_ab, p_ac and p_bc distinct
+                union = 0
+                for y in blocks[b]:
+                    union |= cone[y]
+                if union.bit_count() == full:
+                    continue
                 p_ab = (masks[a] & masks[b]).bit_length() - 1
                 mc = (na & adj[b] & ~pencil[p_ab]) >> (b + 1) << (b + 1)
                 while mc:

@@ -29,7 +29,11 @@ p.  Write p_xy for the point that blocks x and y share.
   member off p, so distinct pairs give distinct triangles, and no triangle
   is a pencil.
 
-The scan for an O'Nan configuration runs once per design (``Design.onan``).
+The scan for an O'Nan configuration runs once per design (``Design.onan``)
+and tests each intersecting block pair a < b once: a, b and the (k - 1)^2
+blocks joining a - p_ab to b - p_ab cover 2k - 1 + (k - 1)^2 (k - 2) points
+exactly when no configuration holds both, and the first pair short of that
+count is the two least blocks of the first configuration (``find_onan``).
 At k = 2 a triangle of K_v has three apexes, so those designs are searched.
 
 Every other design is searched by Bron-Kerbosch with Tomita pivoting from a
@@ -486,11 +490,23 @@ def find_onan(design: Design) -> tuple[int, int, int, int] | None:
     """Four pairwise intersecting blocks with no three through a common point.
 
     With the pair axiom the condition is equivalent to the six pairwise
-    intersection points being distinct.  Given a triangle (a, b, c), that holds
-    exactly when d avoids the pencils of the corners p_ab, p_ac and p_bc, so
-    the candidates for d are one mask.  The scan fixes the least block first,
-    so the first configuration in lexicographic order is returned.  The scan
-    runs once per design: its result is the cached ``Design.onan``.
+    intersection points being distinct.  Let blocks a and b meet at p.  Their
+    transversals, the blocks xy with x on a - p and y on b - p, are (k - 1)^2
+    distinct blocks, each with k - 2 points off a | b.  Two transversals
+    sharing a point z off a | b meet a and b at four distinct points, since
+    two blocks share at most one point, so with a and b they form an O'Nan
+    configuration; and in any configuration holding a and b the other two
+    blocks are such transversals.  So a, b and their transversals cover
+    2k - 1 + (k - 1)^2 (k - 2) points exactly when no configuration holds
+    both a and b, and the scan (``Design.onan``) tests each intersecting
+    pair a < b by that one count.
+
+    A pair short of the count lies in a configuration, and that
+    configuration's two least blocks are a pair no later in (a, b) order,
+    also short.  So the first short pair is the two least blocks of the
+    first configuration in lexicographic order, which is that pair with the
+    first (c, d), c > b, completing it.  The scan runs once per design: its
+    result is the cached ``Design.onan``.
     """
     return design.onan
 

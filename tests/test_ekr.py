@@ -487,6 +487,26 @@ def test_unital_5_census():
     assert maximal_family_sizes(se.hermitian_unital(5)) == {25: 126, 7: 63000}
 
 
+def test_anti_pasch_sts15_census_by_closed_form_and_search(monkeypatch):
+    design = se.load_design(ANTI_PASCH_STS15)
+    assert find_onan(design) is None
+    # 15 pencils of r = 7 triples and 15 * (35 - 7) triangles of k + 1 = 4
+    families = enumerate_maximal_ekr(design)
+    assert collections.Counter(map(len, families)) == {7: 15, 4: 420}
+    calls = []
+    search = se.ekr._bk_pivot
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(se.ekr, "_bk_pivot", counted)
+    searched = se.load_design(ANTI_PASCH_STS15)
+    monkeypatch.setitem(searched.__dict__, "onan", (0, 0, 0, 0))  # read as a witness: the closed form is bypassed
+    assert [f.indices() for f in enumerate_maximal_ekr(searched)] == [f.indices() for f in families]
+    assert calls
+
+
 @pytest.mark.parametrize(
     "make, arg",
     [(se.sts13, 1), (se.pg3_line_design, 2), (se.affine_plane, 4), (se.complete_graph, 7)],
@@ -732,6 +752,82 @@ def test_find_onan_is_the_first_quadruple(make, arg, seed):
     design = make(arg)
     for d in (design, _relabelled(design, seed)):
         assert find_onan(d) == _first_onan_by_brute_force(d)
+
+
+def _first_onan_by_triangles(design):
+    """The first O'Nan configuration by trying every triangle (a, b, c) and masking the d that complete it."""
+    adj = design.intersection_adjacency
+    masks = design.block_masks
+    pencil = design.pencil_masks
+    for a in range(design.b):
+        na = adj[a] >> (a + 1) << (a + 1)
+        ma = na
+        while ma:
+            bit_b = ma & -ma
+            b = bit_b.bit_length() - 1
+            ma ^= bit_b
+            # c off the pencil of p_ab makes p_ab, p_ac and p_bc distinct
+            p_ab = (masks[a] & masks[b]).bit_length() - 1
+            mc = (na & adj[b] & ~pencil[p_ab]) >> (b + 1) << (b + 1)
+            while mc:
+                bit_c = mc & -mc
+                c = bit_c.bit_length() - 1
+                mc ^= bit_c
+                p_ac = (masks[a] & masks[c]).bit_length() - 1
+                p_bc = (masks[b] & masks[c]).bit_length() - 1
+                md = mc & adj[c] & ~pencil[p_ac] & ~pencil[p_bc]
+                if md:
+                    return (a, b, c, (md & -md).bit_length() - 1)
+    return None
+
+
+def _random_sts(v, seed):
+    """A Steiner triple system on v = 1 or 3 (mod 6) points by Stinson's hill-climbing.
+
+    A live point x has two uncovered pairs xy and xz; the triple xyz goes
+    in, and the triple on yz, if any, comes out.  Every point's uncovered
+    pairs stay even in number, so each step finds a live point's two.
+    """
+    rng = random.Random(seed)
+    third = {}  # (s, t) -> the third point of the triple on s and t
+    uncovered = [set(range(v)) - {x} for x in range(v)]
+    count = 0
+    while count < v * (v - 1) // 6:
+        x = rng.choice([p for p in range(v) if uncovered[p]])
+        y, z = rng.sample(sorted(uncovered[x]), 2)
+        if (y, z) in third:
+            w = third[y, z]
+            for s, t in ((y, z), (y, w), (z, w)):
+                del third[s, t], third[t, s]
+                uncovered[s].add(t)
+                uncovered[t].add(s)
+        else:
+            count += 1
+        for s, t, u in ((x, y, z), (x, z, y), (y, z, x)):
+            third[s, t] = third[t, s] = u
+            uncovered[s].discard(t)
+            uncovered[t].discard(s)
+    return se.Design(v, 3, {tuple(sorted((s, t, u))) for (s, t), u in third.items()})
+
+
+@pytest.mark.parametrize("v", [9, 13, 15, 19, 21, 25, 27, 31, 33])
+def test_find_onan_matches_the_triangle_scan_on_random_sts(v):
+    systems = [_random_sts(v, seed) for seed in range(10)]
+    witnesses = [find_onan(d) for d in systems]
+    assert witnesses == [_first_onan_by_triangles(d) for d in systems]
+    # STS(9) is AG(2, 3); in each larger corpus some first witness misses block 0
+    if v == 9:
+        assert witnesses == [None] * 10
+    else:
+        assert None not in witnesses and any(w[0] > 0 for w in witnesses)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make, arg", [(se.hermitian_unital, 3), (se.hermitian_unital, 4), (se.affine_plane, 3)])
+def test_find_onan_matches_the_triangle_scan_on_relabelled_onan_free_designs(make, arg, seed):
+    design = _relabelled(make(arg), seed)
+    assert find_onan(design) is None
+    assert _first_onan_by_triangles(design) is None
 
 
 def _assert_is_onan(design, quad):
