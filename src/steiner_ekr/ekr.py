@@ -62,8 +62,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .canon import canonical_code
 from .designs import Design
@@ -112,6 +113,11 @@ class BlockSet:
     Two block sets are equal when they hold the same blocks of the same
     design object.  blocks is a bit vector as an int, or an iterable of
     int indices; a bool, a float or a str in either place raises DomainError.
+
+    Invariant: mask is an int >= 0 with no bit at b or above.  This constructor
+    checks it; ``_block_sets`` trusts it for masks built from the design's
+    own pencil and adjacency masks.  Both fill the two slots through their
+    setters, which the frozen ``__setattr__`` does not guard.
     """
 
     design: Design
@@ -131,8 +137,8 @@ class BlockSet:
                 mask |= 1 << i
         if mask >> design.b:
             raise DomainError("bit vector longer than the block list")
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "mask", mask)
+        _set_design(self, design)
+        _set_mask(self, mask)
 
     def indices(self) -> tuple[int, ...]:
         out = []
@@ -154,6 +160,18 @@ class BlockSet:
 
     def __repr__(self):
         return f"BlockSet({self.indices()})"
+
+
+_set_design = BlockSet.design.__set__
+_set_mask = BlockSet.mask.__set__
+
+
+def _block_sets(design: Design, masks: list[int]) -> list[BlockSet]:
+    """BlockSets of design for masks, with no check: each mask must keep BlockSet's invariant."""
+    families = list(map(object.__new__, itertools.repeat(BlockSet, len(masks))))
+    deque(map(_set_design, families, itertools.repeat(design)), 0)
+    deque(map(_set_mask, families, masks), 0)
+    return families
 
 
 @dataclass(frozen=True)
@@ -378,7 +396,9 @@ def _pencils_and_triangles(design: Design, min_size: int, cap: float) -> tuple[i
     """The count of an O'Nan-free design's maximal families of at least min_size blocks, and their masks.
 
     The v pencils have r blocks and the v(b - r) triangles k + 1.  When the
-    count passes cap no mask is built and the list is empty.
+    count passes cap no mask is built and the list is empty.  A point's
+    triangles are ``_triangle_mask`` over the blocks off it, in one
+    comprehension over (adjacency, bit) pairs.
     """
     pencils = design.pencil_masks
     keep_pencils = design.r >= min_size
@@ -388,12 +408,9 @@ def _pencils_and_triangles(design: Design, min_size: int, cap: float) -> tuple[i
         return count, []
     masks = list(pencils) if keep_pencils else []
     if keep_triangles:
-        masks.extend(
-            _triangle_mask(design, p, i)
-            for p, pencil in enumerate(pencils)
-            for i in range(design.b)
-            if not pencil >> i & 1
-        )
+        pairs = list(zip(design.intersection_adjacency, [1 << i for i in range(design.b)]))
+        for pencil in pencils:
+            masks += [pencil & adj | bit for adj, bit in pairs if not pencil & bit]
     return count, masks
 
 
@@ -432,6 +449,10 @@ def enumerate_maximal_ekr(
     block meets every candidate, since no clique below it is then maximal.
     The exact count of a capped search needs the whole search, so the cap
     bounds its memory, not its time.
+
+    Both paths build every mask from the design's own pencil and adjacency
+    masks, so none has a bit at b or above, and they wrap them as BlockSets
+    through ``_block_sets`` with no check.
     """
     if type(min_size) is not int:
         raise DomainError(f"min_size {min_size!r} is not an int")
@@ -453,16 +474,17 @@ def enumerate_maximal_ekr(
             count=count,
         )
     _sort_by_indices(masks, design.b)
-    return [BlockSet(design, m) for m in masks]
+    return _block_sets(design, masks)
 
 
 def maximal_family_sizes(design: Design, workers: int = 1) -> dict[int, int]:
     """Size histogram of the maximal families, largest size first.
 
     The families are enumerated into a list first, so memory grows with
-    their number.  workers is accepted and ignored.
+    their number, and counted by their masks' ``int.bit_count``, in C, with
+    no call of ``BlockSet.__len__``.  workers is accepted and ignored.
     """
-    sizes = Counter(map(len, enumerate_maximal_ekr(design)))
+    sizes = Counter(map(int.bit_count, map(attrgetter("mask"), enumerate_maximal_ekr(design))))
     return dict(sorted(sizes.items(), reverse=True))
 
 
