@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, Record
 from .exactnum import CubeRootBound, SurdExpr, cmp_surd, surd_floor, surd_sign
 
 __all__ = [
@@ -48,21 +47,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A bound's exact value and its floor.
 
     active_branch is the counting bound's larger branch (1 or 2); the other
     bounds leave it None.
     """
 
+    __slots__ = _fields = ("value", "floor_value", "active_branch")
     value: object  # Fraction, int, SurdExpr, or CubeRootBound
     floor_value: int
-    active_branch: int | None = None
+    active_branch: int | None
+
+    def __init__(self, value: object, floor_value: int, active_branch: int | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "floor_value", floor_value)
+        object.__setattr__(self, "active_branch", active_branch)
 
 
-@dataclass(frozen=True)
-class SweepCertificate:
+class SweepCertificate(Record):
     """What a sweep covered and every case that failed; certified when none did.
 
     ranges names the parameter ranges the sweep ran over, total_cases counts
@@ -71,13 +74,17 @@ class SweepCertificate:
     this order are the CLI's sweep payload.
     """
 
+    __slots__ = _fields = ("ranges", "total_cases", "certified", "failures")
     ranges: dict
     total_cases: int
-    certified: bool = field(init=False)
-    failures: tuple = field(default_factory=tuple)
+    certified: bool
+    failures: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "certified", not self.failures)
+    def __init__(self, ranges: dict, total_cases: int, failures: tuple = ()):
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "total_cases", total_cases)
+        object.__setattr__(self, "certified", not failures)
+        object.__setattr__(self, "failures", failures)
 
 
 class ReplicationVerdict(enum.Enum):

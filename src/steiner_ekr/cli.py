@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -20,7 +19,7 @@ from fractions import Fraction
 from . import bounds, designs
 from .designs import Design, load_design, save_design
 from .ekr import classify, enumerate_maximal_ekr, find_onan, max_ekr_size
-from .errors import DomainError
+from .errors import DomainError, Record
 from .exactnum import CubeRootBound, icbrt_floor
 
 _BUILTINS = {
@@ -83,8 +82,8 @@ def _value(x):
             "coef_cbrt": _frac(x.lin_coef),
             "radicand": x.radicand,
         }
-    if dataclasses.is_dataclass(x):
-        items = ((f.name, getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, Record):
+        items = ((name, getattr(x, name)) for name in x._fields)
         return {k: _value(v) for k, v in items if v is not None}
     if isinstance(x, (tuple, list)):
         return [_value(e) for e in x]

@@ -59,16 +59,14 @@ L = k + 1; no other design's L is computed yet.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .canon import canonical_code
 from .designs import Design
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, Record
 
 __all__ = [
     "BlockSet",
@@ -106,8 +104,7 @@ class HasONan(DomainError):
         self.blocks = blocks
 
 
-@dataclass(frozen=True, slots=True)
-class BlockSet:
+class BlockSet(Record):
     """An immutable set of blocks of one design, stored as a bit vector of indices.
 
     Two block sets are equal when they hold the same blocks of the same
@@ -120,6 +117,7 @@ class BlockSet:
     setters, which the frozen ``__setattr__`` does not guard.
     """
 
+    __slots__ = _fields = ("design", "mask")
     design: Design
     mask: int
 
@@ -174,8 +172,7 @@ def _block_sets(design: Design, masks: list[int]) -> list[BlockSet]:
     return families
 
 
-@dataclass(frozen=True)
-class CoverProfile:
+class CoverProfile(Record):
     """How a family covers points.
 
     k_hist[i] counts covered points lying on exactly i member blocks (entry 0
@@ -183,25 +180,40 @@ class CoverProfile:
     covered points beyond k(k-1).
     """
 
+    __slots__ = _fields = ("covered", "k_hist", "k_s", "cover_excess")
     covered: int
     k_hist: tuple[int, ...]
     k_s: int
     cover_excess: int
 
+    def __init__(self, covered: int, k_hist: tuple[int, ...], k_s: int, cover_excess: int):
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "k_hist", k_hist)
+        object.__setattr__(self, "k_s", k_s)
+        object.__setattr__(self, "cover_excess", cover_excess)
 
-@dataclass(frozen=True)
-class EkrType:
+
+class EkrType(Record):
     """Isomorphism type of a maximal family's induced incidence structure.
 
     witness is the type's first family in the input to classify; it takes no
     part in equality, hashing or repr.
     """
 
+    _fields = ("label", "size", "profile", "code")
+    __slots__ = (*_fields, "witness")
     label: str
     size: int
     profile: CoverProfile
     code: str
-    witness: BlockSet = field(compare=False, repr=False)
+    witness: BlockSet
+
+    def __init__(self, label: str, size: int, profile: CoverProfile, code: str, witness: BlockSet):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "witness", witness)
 
 
 def _meeting_all(family: BlockSet) -> int:
@@ -548,6 +560,10 @@ def _label(family: BlockSet, code: str) -> str:
         return f"EKR_{size}"
     if kind:
         return kind
+    # imported here: only a type that is no pencil, triangle or k = 3 family
+    # takes a digest, and loading hashlib at import would cost every CLI start
+    import hashlib
+
     digest = hashlib.sha256(code.encode()).hexdigest()[:8]
     return f"type-s{size}-{digest}"
 
@@ -571,15 +587,29 @@ def classify(design: Design, families) -> list[tuple[EkrType, int]]:
     return sorted(map(tuple, groups.values()), key=lambda e: (-e[0].size, e[0].code))
 
 
-@dataclass(frozen=True)
-class OnanFreeVerdict:
+class OnanFreeVerdict(Record):
     """Outcome of checking that every maximal family is a pencil or a triangle."""
 
+    __slots__ = _fields = ("confirmed", "pencil_count", "triangle_count", "counterexample", "note")
     confirmed: bool
     pencil_count: int
     triangle_count: int
-    counterexample: BlockSet | None = None
-    note: str | None = None
+    counterexample: BlockSet | None
+    note: str | None
+
+    def __init__(
+        self,
+        confirmed: bool,
+        pencil_count: int,
+        triangle_count: int,
+        counterexample: BlockSet | None = None,
+        note: str | None = None,
+    ):
+        object.__setattr__(self, "confirmed", confirmed)
+        object.__setattr__(self, "pencil_count", pencil_count)
+        object.__setattr__(self, "triangle_count", triangle_count)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "note", note)
 
 
 def classify_onan_free(design: Design, families=None) -> OnanFreeVerdict:

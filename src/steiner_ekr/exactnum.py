@@ -12,9 +12,10 @@ with x^3 <= n < (x+1)^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
+
+from .errors import Record
 
 __all__ = [
     "CubeRootBound",
@@ -67,22 +68,24 @@ def icbrt_floor(value: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class SurdExpr:
+class SurdExpr(Record):
     """Exact a + b*sqrt(n) with rational a, b and integer radicand n >= 0.
 
-    Instances compare structurally (dataclass equality); algebraic order and
-    equality go through :func:`cmp_surd`, which is exact for all inputs.
+    Instances compare structurally, field by field (a ``Record``), so
+    SurdExpr(0, 1, 4) != SurdExpr(2, 0, 0); algebraic order and equality go
+    through :func:`cmp_surd`, which is exact for all inputs.
     """
 
+    __slots__ = _fields = ("a", "b", "n")
     a: Fraction
     b: Fraction
     n: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        _check_radicand(self.n)
+    def __init__(self, a, b, n: int):
+        object.__setattr__(self, "a", _frac(a))
+        object.__setattr__(self, "b", _frac(b))
+        _check_radicand(n)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def rational(cls, x) -> "SurdExpr":
@@ -186,20 +189,21 @@ def cbrt_quadratic_sign(c2, c1, c0, radicand: int) -> int:
     return _sign(c0**3 + c1**3 * n + c2**3 * n * n - 3 * c0 * c1 * c2 * n)
 
 
-@dataclass(frozen=True)
-class CubeRootBound:
+class CubeRootBound(Record):
     """const + sq_coef * radicand^(2/3) + lin_coef * radicand^(1/3), exactly."""
 
+    __slots__ = _fields = ("radicand", "const", "sq_coef", "lin_coef")
     radicand: int
     const: Fraction
     sq_coef: Fraction
     lin_coef: Fraction
 
-    def __post_init__(self):
-        _check_radicand(self.radicand)
-        object.__setattr__(self, "const", _frac(self.const))
-        object.__setattr__(self, "sq_coef", _frac(self.sq_coef))
-        object.__setattr__(self, "lin_coef", _frac(self.lin_coef))
+    def __init__(self, radicand: int, const, sq_coef, lin_coef):
+        _check_radicand(radicand)
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "const", _frac(const))
+        object.__setattr__(self, "sq_coef", _frac(sq_coef))
+        object.__setattr__(self, "lin_coef", _frac(lin_coef))
 
     def compare(self, m: int) -> int:
         """Sign of (self - m), decided without floating point."""

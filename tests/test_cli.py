@@ -585,11 +585,14 @@ def test_bad_worker_env_is_ignored(capsys, monkeypatch):
 
 def test_cli_start_does_not_import_the_worker_pool():
     # importing the CLI must not pull in concurrent.futures, and with it
-    # multiprocessing and logging: they would cost every CLI start
+    # multiprocessing and logging, nor dataclasses (which imports inspect) or
+    # hashlib: each would cost every CLI start.  The records are plain slotted
+    # classes, and ekr imports hashlib only for a type label's digest.
     src = pathlib.Path(steiner_ekr.__file__).resolve().parents[1]
     probe = (
         "import sys, steiner_ekr.cli\n"
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        "unwanted = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect', 'hashlib')\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
