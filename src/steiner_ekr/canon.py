@@ -53,21 +53,43 @@ first search of a large pencil is not free (5.3 ms at s = 13), while the
 check costs one comparison.  Which families are pencils or triangles is
 ``ekr.shape``'s business, read from block masks; this module only canonises.
 
-Every other system is searched once per process: the memo sits on
-``_search`` itself, which is called with s and the subsets as a sorted
-multiset, so a system already searched is not searched again.  A hit is
-exact, since the minimum leaf code depends only on that multiset:
-refinement ranks do not see the order of the subsets, leaf codes are
-sorted, and the prunes skip only codes that already occur.  Hits are
-common because many families of one type give the same labelled system, the
-classes written over member positions in block-index order: the triangles
-of a design give at most k + 1 systems, one per position of the apex, and
-the 40 plane line sets of pg3:3 are one.  The uncached search,
-``_search.__wrapped__``, is the tests' reference.
+Every other system goes through two memos.  The first sits on ``_search``
+itself, which is called with s and the subsets as a sorted multiset, so a
+labelled system already searched is not searched again.  A hit is exact,
+since the minimum leaf code depends only on that multiset: refinement ranks
+do not see the order of the subsets, leaf codes are sorted, and the prunes
+skip only codes that already occur.  Many families of one type give the same
+labelled system, the classes written over member positions in block-index
+order: the triangles of a design give at most k + 1 systems, one per
+position of the apex, and the 40 plane line sets of pg3:3 are one.  Under a
+relabelling of the design's points they are not: the same 40 sets are 28, 24
+and 26 labelled systems at three seeded relabellings.
+
+The second memo, ``_LeafForms``, maps (s, leaf code) to the canonical form of
+the system whose search visited that leaf.  A finished search stores every
+leaf code it visited; a search whose first leaf code is stored stops there and
+returns the stored form.  A miss costs one lookup, since the first descent
+is the start of the full search.
+
+- Soundness.  A leaf code is the subsets relabelled by a bijection of
+  0..s-1, so two systems on the same s that share a leaf code are both
+  isomorphic to it, and have the same minimum leaf code.  The key holds s
+  because a code does not show the elements that lie in no subset.
+- Hit guarantee.  The tree's nodes do not depend on the labelling, only the
+  order in which they are visited does, and the two prunes skip only
+  subtrees whose codes already occur.  So a search visits every leaf code of
+  the full tree, and the first leaf of any relabelled copy carries one of
+  them: a copy costs one descent, not a search.
+
+The leaf memo holds at most ``_LEAF_FORMS_ITEMS`` items, one per stored
+subset and one per element in it, and drops its oldest codes first.  The
+search without either memo, ``_search.__wrapped__`` called with no leaf
+memo, is the tests' reference.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -155,22 +177,79 @@ def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
     if len(subs) == 1 and len(subs[0]) == s:
         return (tuple(range(s)),)
-    return _search(s, tuple(sorted(tuple(sorted(S)) for S in subs)))
+    return _search(s, tuple(sorted(tuple(sorted(S)) for S in subs)), _LEAF_FORMS)
+
+
+# the leaf memo's bound in stored items, one per subset of a stored code and
+# one per element in it: a plane of projective:8 has 73 + 657 items per code
+_LEAF_FORMS_ITEMS = 1 << 16
+
+
+def _items(code: tuple) -> int:
+    return len(code) + sum(map(len, code))
+
+
+class _LeafForms:
+    """Canonical forms by (s, leaf code), for the leaves of finished searches.
+
+    It holds at most _LEAF_FORMS_ITEMS items and drops its oldest entries
+    first.  An instance hashes by identity, so the one memo can ride in
+    ``_search``'s lru key.
+    """
+
+    __slots__ = ("forms", "items")
+
+    def __init__(self) -> None:
+        self.forms: OrderedDict = OrderedDict()
+        self.items = 0
+
+    def get(self, s: int, code: tuple):
+        return self.forms.get((s, code))
+
+    def fill(self, s: int, codes: list, form: tuple) -> None:
+        forms = self.forms
+        for code in codes:
+            if (s, code) not in forms:
+                forms[s, code] = form
+                self.items += _items(code)
+        while self.items > _LEAF_FORMS_ITEMS:
+            (_, code), _ = forms.popitem(last=False)
+            self.items -= _items(code)
+
+    def clear(self) -> None:
+        self.forms.clear()
+        self.items = 0
+
+
+_LEAF_FORMS = _LeafForms()
 
 
 @lru_cache(maxsize=4096)  # affine:5 searches 286 distinct systems, 6 of them triangles
-def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The minimum leaf code of the individualisation-refinement tree."""
+def _search(
+    s: int, subs: tuple[tuple[int, ...], ...], leaf_forms: _LeafForms | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The minimum leaf code of the individualisation-refinement tree.
+
+    With leaf_forms, a first leaf whose code it holds ends the search with
+    the form stored there, and a finished search stores every leaf code it
+    visited, up to the memo's bound.
+    """
     subsets, members = _incidence(s, subs)
 
     best_code: tuple | None = None
     inv_best: list[int] = []
     best_path: list[int] = []
     autos: list[tuple[int, ...]] = []
+    codes: list[tuple] = []  # the leaf codes visited, for leaf_forms
+    collected = 0
 
     def visit_leaf(colors: list[int], fixed: list[int]) -> int:
-        nonlocal best_code, inv_best, best_path
+        nonlocal best_code, inv_best, best_path, collected
         code = tuple(sorted(tuple(sorted(g(colors))) for g in subsets))
+        if best_code is None and leaf_forms is not None:
+            best_code = leaf_forms.get(s, code)
+            if best_code is not None:
+                return -1  # above the root: the search ends with the stored form
         if best_code is None or code < best_code:
             best_code = code
             inv_best = sorted(range(s), key=colors.__getitem__)
@@ -181,6 +260,9 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
             # common prefix and carries the rest of this subtree onto the
             # sibling subtree already searched, so resume at the branch point
             return next(i for i, (a, b) in enumerate(zip(best_path, fixed)) if a != b)
+        if leaf_forms is not None and collected <= _LEAF_FORMS_ITEMS:
+            codes.append(code)
+            collected += _items(code)
         return len(fixed)
 
     def search(colors: list[int], fixed: list[int]) -> int:
@@ -212,6 +294,8 @@ def _search(s: int, subs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
 
     search(_refine(subsets, members, [0] * s), [])
     assert best_code is not None
+    if leaf_forms is not None:  # after a hit, codes is empty
+        leaf_forms.fill(s, codes, best_code)
     return best_code
 
 

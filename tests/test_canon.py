@@ -355,7 +355,7 @@ def test_memo_searches_each_labelled_system_once():
     assert _search.cache_info().maxsize is not None
 
 
-def _refine_calls(monkeypatch, s, subs):
+def _refine_calls(monkeypatch, s, subs, leaf_forms=None):
     calls = 0
 
     def counted(*args):
@@ -364,7 +364,7 @@ def _refine_calls(monkeypatch, s, subs):
         return _refine(*args)
 
     monkeypatch.setattr(canon, "_refine", counted)
-    _search.__wrapped__(s, subs)
+    _search.__wrapped__(s, subs, leaf_forms)
     return calls
 
 
@@ -419,6 +419,130 @@ def test_searched_codes_are_pinned_by_a_digest():
         searched += _search.cache_info().misses
     assert searched == 28 + 24 + 26 + 4
     assert hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest() == MEMO_MISS_DIGEST
+
+
+# -- the leaf memo: (s, leaf code) -> canonical form ---------------------------
+
+
+def _key(subsets):
+    return tuple(sorted(tuple(sorted(S)) for S in subsets))
+
+
+def _visited_codes(s, subsets):
+    """The leaf codes a pruned search visits, read from a fresh leaf memo."""
+    forms = canon._LeafForms()
+    _search.__wrapped__(s, _key(subsets), forms)
+    assert {n for n, _ in forms.forms} <= {s}
+    return {code for _, code in forms.forms}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_CORPUS))
+def test_pruned_search_visits_every_leaf_code_on_symmetric_corpus(name):
+    # the hit guarantee: the prunes skip only subtrees whose codes occur elsewhere
+    s, subsets = SYMMETRIC_CORPUS[name]
+    assert _visited_codes(s, subsets) == set(_leaf_codes(s, subsets))
+
+
+@given(_closed_systems())
+@settings(max_examples=150, deadline=None)
+def test_pruned_search_visits_every_leaf_code_on_random_systems(system):
+    s, subsets = system
+    codes = list(itertools.islice(_leaf_codes(s, subsets), 2001))
+    assume(len(codes) <= 2000)
+    assert _visited_codes(s, subsets) == set(codes)
+
+
+def _permuted(subsets, perm):
+    return [frozenset(perm[e] for e in S) for S in subsets]
+
+
+def _pg3_plane():
+    import steiner_ekr as se
+
+    families = se.enumerate_maximal_ekr(se.pg3_line_design(3), min_size=13)
+    return concurrency_classes(next(f for f in families if len(concurrency_classes(f)[1]) > 1))
+
+
+def test_relabelled_copies_answered_by_the_leaf_memo_give_the_reference_form():
+    rng = random.Random(11)
+    cases = [SYMMETRIC_CORPUS[name] for name in ("cycle7", "star6", "matching8", "fano", "triples9")]
+    cases.append(_pg3_plane())
+    for s, subsets in cases:
+        reference = _reference_form(s, subsets, 10**5)
+        forms = canon._LeafForms()
+        assert _search.__wrapped__(s, _key(subsets), forms) == reference
+        for _ in range(4):
+            copy = _key(_permuted(subsets, rng.sample(range(s), s)))
+            assert _search.__wrapped__(s, copy, forms) == reference
+
+
+def test_a_relabelled_copy_costs_one_descent(monkeypatch):
+    s, subs = _pg3_plane()
+    forms = canon._LeafForms()
+    assert _refine_calls(monkeypatch, s, _key(subs), forms) == 27
+    assert len(forms.forms) == 1  # every leaf of the plane's tree has one code
+    for seed in range(5):
+        perm = random.Random(seed).sample(range(s), s)
+        # the root and the individualisations down to the first leaf
+        assert _refine_calls(monkeypatch, s, _key(_permuted(subs, perm)), forms) == 6
+
+
+def test_an_extra_isolated_element_misses_the_leaf_memo(monkeypatch):
+    s, subs = _pg3_plane()
+    forms = canon._LeafForms()
+    _search.__wrapped__(s, _key(subs), forms)
+    # the same subsets on s + 1: the code is the same, the system is not
+    assert _refine_calls(monkeypatch, s + 1, _key(subs), forms) == _refine_calls(monkeypatch, s + 1, _key(subs))
+    assert _search.__wrapped__(s + 1, _key(subs), forms) == _search.__wrapped__(s + 1, _key(subs))
+    assert {n for n, _ in forms.forms} == {s, s + 1}
+
+
+def test_classify_of_relabelled_pg3_searches_one_plane(monkeypatch):
+    import steiner_ekr as se
+
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    totals = []
+    for seed in (1, 2, 3):
+        design = _relabelled(se.pg3_line_design(3), seed)
+        families = se.enumerate_maximal_ekr(design, min_size=13)
+        _search.cache_clear()
+        canon._LEAF_FORMS.clear()
+        calls = 0
+        se.classify(design, families)
+        totals.append((_search.cache_info().misses, calls))
+    # 28, 24 and 26 labelled systems as in MEMO_MISS_DIGEST: one full search
+    # of 27 refinements, then one descent of 6 for each other system
+    assert totals == [(28, 27 + 27 * 6), (24, 27 + 23 * 6), (26, 27 + 25 * 6)]
+
+
+def test_leaf_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(canon, "_LEAF_FORMS_ITEMS", 200)
+    forms = canon._LeafForms()
+    rng = random.Random(5)
+    for s in range(6, 16):
+        subsets = [frozenset(rng.sample(range(s), 3)) for _ in range(s)]
+        form = _search.__wrapped__(s, _key(subsets), forms)
+        assert form == _search.__wrapped__(s, _key(subsets))
+        assert forms.items == sum(len(c) + sum(map(len, c)) for _, c in forms.forms) <= 200
+    assert forms.items > 150
+    # the oldest codes went first: the last system's form, one of its leaf codes, stays
+    assert (15, form) in forms.forms
+    assert min(n for n, _ in forms.forms) > 6
+    # a code larger than the bound is not kept at all
+    big = [frozenset(range(i, i + 10)) for i in range(30)]
+    _search.__wrapped__(40, _key(big), forms)
+    assert forms.items <= 200
+    assert 40 not in {n for n, _ in forms.forms}
+    forms.clear()
+    assert forms.items == 0 and not forms.forms
+    assert canon._LEAF_FORMS.items <= canon._LEAF_FORMS_ITEMS == 200
 
 
 def test_large_pencil_is_fast():
