@@ -46,51 +46,47 @@ prefix.  An integer key per subset, one digit per colour, would replace its
 sort by a sum, but the digits grow with s: on projective:7's plane (s = 57)
 the sums cost more than the sorts they replace, so the keys stay tuples.
 
-One system skips the search: a single class holding the whole ground set,
-the concurrency classes of a point-pencil.  Every permutation preserves it,
-so every leaf has the code (0, 1, ..., s-1).  The shortcut stays because the
-first search of a large pencil is not free (5.3 ms at s = 13), while the
-check costs one comparison.  Which families are pencils or triangles is
-``ekr.shape``'s business, read from block masks; this module only canonises.
+Elements in no subset are set aside: an element with no subset sorts first,
+so refinement gives them the lowest cell, and the tree peels it off one
+element at a time before it splits another.  So every leaf code, and the
+form, is one of the covered elements alone, relabelled in order, with u, the
+number set aside, added to each element.  A single subset skips the search:
+every permutation of its elements preserves it, so its form is (u, u + 1,
+..., s-1), which a search takes 5.3 ms to find for a pencil at s = 13.
+Which families are pencils or triangles is ``ekr.shape``'s business, read
+from block masks; this module only canonises.
 
-Every other system goes through two memos.  The first sits on ``_search``
-itself, which is called with s and the subsets as a sorted multiset, so a
-labelled system already searched is not searched again.  A hit is exact,
-since the minimum leaf code depends only on that multiset: refinement ranks
-do not see the order of the subsets, leaf codes are sorted, and the prunes
-skip only codes that already occur.  Many families of one type give the same
-labelled system, the classes written over member positions in block-index
-order: the triangles of a design give at most k + 1 systems, one per
-position of the apex, and the 40 plane line sets of pg3:3 are one.  Under a
-relabelling of the design's points they are not: the same 40 sets are 28, 24
-and 26 labelled systems at three seeded relabellings.
+Every other system goes through one memo, ``_FORMS``, from a labelled system
+(s and the subsets as a sorted tuple of sorted tuples) to its canonical form.
+A leaf code is a labelled system too, so the memo holds inputs and visited
+leaf codes alike.  ``canonical_set_system`` looks up its input; on a miss,
+``_search`` looks up its first leaf code and stops there on a hit.  Either
+way it then stores its input and every leaf code it visited.
 
-The second memo, ``_LeafForms``, maps (s, leaf code) to the canonical form of
-the system whose search visited that leaf.  A finished search stores every
-leaf code it visited; a search whose first leaf code is stored stops there and
-returns the stored form.  A miss costs one lookup, since the first descent
-is the start of the full search.
-
-- Soundness.  A leaf code is the subsets relabelled by a bijection of
-  0..s-1, so two systems on the same s that share a leaf code are both
-  isomorphic to it, and have the same minimum leaf code.  The key holds s
-  because a code does not show the elements that lie in no subset.
+- Soundness.  The minimum leaf code depends only on the labelled system:
+  refinement ranks do not see the order of the subsets, leaf codes are
+  sorted, and the prunes skip only codes that already occur.  A leaf code is
+  the subsets relabelled by a bijection of 0..s-1, so two systems on the
+  same s that share a leaf code have the same minimum leaf code.  The key
+  holds s because a code does not show the elements in no subset.
 - Hit guarantee.  The tree's nodes do not depend on the labelling, only the
-  order in which they are visited does, and the two prunes skip only
-  subtrees whose codes already occur.  So a search visits every leaf code of
-  the full tree, and the first leaf of any relabelled copy carries one of
-  them: a copy costs one descent, not a search.
+  order in which they are visited does, and the prunes skip only subtrees
+  whose codes already occur.  So a search visits every leaf code of the full
+  tree: a relabelled copy costs one descent, and a copy equal to a visited
+  code costs none.
 
-The leaf memo holds at most ``_LEAF_FORMS_ITEMS`` items, one per stored
-subset and one per element in it, and drops its oldest codes first.  The
-search without either memo, ``_search.__wrapped__`` called with no leaf
-memo, is the tests' reference.
+Many families of one type give the same labelled system, the classes written
+over member positions in block-index order: the triangles of a design give
+at most k + 1 systems, one per position of the apex, and the 40 plane line
+sets of pg3:3 are one.  Under three seeded relabellings of the design's
+points they are 28, 24 and 26, and all but one of each stop at the input
+lookup or at their first leaf.  ``_search`` with an empty memo, which cannot
+hit, is the plain search and the tests' reference.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -163,38 +159,50 @@ def _close(orbit: set[int], frontier: list[int], gens: list[tuple[int, ...]]) ->
 def canonical_set_system(s: int, subsets) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a set system over ground set 0..s-1.
 
-    An s that is not a nonnegative int, or an element that is not an int or
-    lies outside 0..s-1, raises DomainError; a bool is not an int here.
+    An s that is not a nonnegative int, subsets that are not an iterable of
+    iterables, or an element that is not an int or lies outside 0..s-1,
+    raises DomainError; a bool is not an int here.
     """
     if type(s) is not int or s < 0:
         raise DomainError(f"ground set size {s!r} is not a nonnegative int")
-    subs = [frozenset(S) for S in subsets]
+    try:
+        subs = [frozenset(S) for S in subsets]
+    except TypeError:
+        raise DomainError("set system is not an iterable of subsets of ints") from None
     # each subset's own elements: their union would merge a True into a 1
     elements = list(chain.from_iterable(subs))
     if not set(map(type, elements)) <= {int}:
         raise DomainError("set system has an element that is not an int")
-    if elements and not 0 <= min(elements) <= max(elements) < s:
+    covered = set(elements)
+    if covered and not 0 <= min(covered) <= max(covered) < s:
         raise DomainError(f"set system has an element outside the ground set 0..{s - 1}")
-    if len(subs) == 1 and len(subs[0]) == s:
-        return (tuple(range(s)),)
-    return _search(s, tuple(sorted(tuple(sorted(S)) for S in subs)), _LEAF_FORMS)
+    u = s - len(covered)
+    if len(subs) == 1:
+        return (tuple(range(u, s)),)
+    if u:
+        # the covered elements alone, relabelled in order; the form shifts by u
+        rank = {e: i for i, e in enumerate(sorted(covered))}
+        subs = [map(rank.__getitem__, S) for S in subs]
+    key = tuple(sorted(tuple(sorted(S)) for S in subs))
+    form = _FORMS.forms.get((s - u, key))
+    if form is None:
+        form = _search(s - u, key, _FORMS)
+    return tuple(tuple(e + u for e in S) for S in form) if u else form
 
 
-# the leaf memo's bound in stored items, one per subset of a stored code and
+# the memo's bound in stored items, one per subset of a stored system and
 # one per element in it: a plane of projective:8 has 73 + 657 items per code
-_LEAF_FORMS_ITEMS = 1 << 16
+_FORMS_ITEMS = 1 << 16
 
 
 def _items(code: tuple) -> int:
     return len(code) + sum(map(len, code))
 
 
-class _LeafForms:
-    """Canonical forms by (s, leaf code), for the leaves of finished searches.
+class _Forms:
+    """Canonical forms by (s, labelled system), for inputs and the leaf codes they visit.
 
-    It holds at most _LEAF_FORMS_ITEMS items and drops its oldest entries
-    first.  An instance hashes by identity, so the one memo can ride in
-    ``_search``'s lru key.
+    It holds at most _FORMS_ITEMS items and drops its oldest entries first.
     """
 
     __slots__ = ("forms", "items")
@@ -203,36 +211,26 @@ class _LeafForms:
         self.forms: OrderedDict = OrderedDict()
         self.items = 0
 
-    def get(self, s: int, code: tuple):
-        return self.forms.get((s, code))
-
     def fill(self, s: int, codes: list, form: tuple) -> None:
         forms = self.forms
         for code in codes:
             if (s, code) not in forms:
                 forms[s, code] = form
                 self.items += _items(code)
-        while self.items > _LEAF_FORMS_ITEMS:
+        while self.items > _FORMS_ITEMS:
             (_, code), _ = forms.popitem(last=False)
             self.items -= _items(code)
 
-    def clear(self) -> None:
-        self.forms.clear()
-        self.items = 0
+
+_FORMS = _Forms()
 
 
-_LEAF_FORMS = _LeafForms()
-
-
-@lru_cache(maxsize=4096)  # affine:5 searches 286 distinct systems, 6 of them triangles
-def _search(
-    s: int, subs: tuple[tuple[int, ...], ...], leaf_forms: _LeafForms | None = None
-) -> tuple[tuple[int, ...], ...]:
+def _search(s: int, subs: tuple[tuple[int, ...], ...], memo: _Forms) -> tuple[tuple[int, ...], ...]:
     """The minimum leaf code of the individualisation-refinement tree.
 
-    With leaf_forms, a first leaf whose code it holds ends the search with
-    the form stored there, and a finished search stores every leaf code it
-    visited, up to the memo's bound.
+    A first leaf whose code memo holds ends the search with the form stored
+    there.  Then subs and every leaf code visited are stored with the form, up
+    to the memo's bound.  With an empty memo this is the plain search.
     """
     subsets, members = _incidence(s, subs)
 
@@ -240,14 +238,14 @@ def _search(
     inv_best: list[int] = []
     best_path: list[int] = []
     autos: list[tuple[int, ...]] = []
-    codes: list[tuple] = []  # the leaf codes visited, for leaf_forms
+    codes: list[tuple] = []  # the leaf codes visited, for memo
     collected = 0
 
     def visit_leaf(colors: list[int], fixed: list[int]) -> int:
         nonlocal best_code, inv_best, best_path, collected
         code = tuple(sorted(tuple(sorted(g(colors))) for g in subsets))
-        if best_code is None and leaf_forms is not None:
-            best_code = leaf_forms.get(s, code)
+        if best_code is None:
+            best_code = memo.forms.get((s, code))
             if best_code is not None:
                 return -1  # above the root: the search ends with the stored form
         if best_code is None or code < best_code:
@@ -260,7 +258,7 @@ def _search(
             # common prefix and carries the rest of this subtree onto the
             # sibling subtree already searched, so resume at the branch point
             return next(i for i, (a, b) in enumerate(zip(best_path, fixed)) if a != b)
-        if leaf_forms is not None and collected <= _LEAF_FORMS_ITEMS:
+        if collected <= _FORMS_ITEMS:
             codes.append(code)
             collected += _items(code)
         return len(fixed)
@@ -294,8 +292,8 @@ def _search(
 
     search(_refine(subsets, members, [0] * s), [])
     assert best_code is not None
-    if leaf_forms is not None:  # after a hit, codes is empty
-        leaf_forms.fill(s, codes, best_code)
+    codes.append(subs)  # last, so that it is the newest entry
+    memo.fill(s, codes, best_code)
     return best_code
 
 

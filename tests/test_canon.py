@@ -101,13 +101,16 @@ def test_canonical_set_system_spot():
         (2.5, []),
         ("3", [[0]]),
         (True, [[0]]),
+        (3, [5]),
+        (3, None),
     ],
 )
 def test_canonical_set_system_refuses_elements_outside_the_ground_set(s, subsets):
     # -1 would index from the end and 5 past it: each once gave a wrong form or an
     # IndexError; 0.0 and Fraction(1) equal ground elements but once failed in the
     # search with a bare TypeError; a bool element once passed as an int, and so
-    # did the size True, while 2.5 and "3" failed with a bare TypeError
+    # did the size True, while 2.5 and "3" failed with a bare TypeError, as did a
+    # subset or a system that is not iterable
     with pytest.raises(DomainError):
         canonical_set_system(s, subsets)
 
@@ -128,7 +131,7 @@ def test_empty_ground_set_keeps_each_empty_subset(count):
     assert canonical_set_system(0, [[]] * count) == ((),) * count
     assert canonical_set_system(1, [[]] * count) == ((),) * count
     # the search itself takes s = 0: one leaf, the empty colouring
-    assert _search.__wrapped__(0, ((),) * count) == ((),) * count
+    assert _search(0, ((),) * count, canon._Forms()) == ((),) * count
 
 
 @st.composite
@@ -312,7 +315,61 @@ def test_pruned_search_matches_reference_on_random_systems(system):
     assert canonical_set_system(s, subsets) == reference
 
 
+@st.composite
+def _sparse_systems(draw):
+    """A drawn system with one to three more elements in no subset, relabelled."""
+    s, subsets = draw(_set_systems(6, 5))
+    n = s + draw(st.integers(min_value=1, max_value=3))
+    perm = draw(st.permutations(range(n)))
+    return n, [frozenset(perm[e] for e in S) for S in subsets]
+
+
+@given(_sparse_systems())
+@example((5, [frozenset({1, 3})]))
+@example((6, []))
+@example((4, [frozenset(), frozenset({0, 2})]))
+@settings(max_examples=150, deadline=None)
+def test_elements_in_no_subset_shift_the_form_as_the_search_does(system):
+    # the form of the covered elements alone, shifted by the number left out
+    s, subsets = system
+    reference = _reference_form(s, subsets, 2000)
+    assume(reference is not None)
+    assert canonical_set_system(s, subsets) == reference
+
+
+def test_a_sparse_system_on_a_large_ground_set_is_fast():
+    # the 4,997 elements in no subset once made a tree of about s^2/2 nodes,
+    # and a recursion too deep for Python past s = 1,000
+    t0 = time.perf_counter()
+    assert canonical_set_system(5000, [[0, 1], [1, 2]]) == ((4997, 4999), (4998, 4999))
+    assert canonical_set_system(5000, [[4999, 7]]) == ((4998, 4999),)
+    assert canonical_set_system(5000, []) == ()
+    assert time.perf_counter() - t0 < 0.1
+
+
 # -- the memo under canonical_set_system ------------------------------------------
+
+
+def _key(subsets):
+    return tuple(sorted(tuple(sorted(S)) for S in subsets))
+
+
+def _plain_search(s, subsets):
+    """The search with an empty memo, which cannot hit: the reference."""
+    return _search(s, _key(subsets), canon._Forms())
+
+
+def _counted_searches(mp):
+    """Give canonical_set_system a fresh memo; return the list of (s, system) it searches."""
+    mp.setattr(canon, "_FORMS", canon._Forms())
+    calls = []
+
+    def counted(s, subs, memo):
+        calls.append((s, subs))
+        return _search(s, subs, memo)
+
+    mp.setattr(canon, "_search", counted)
+    return calls
 
 
 @given(_set_systems(9, 8), st.randoms(use_true_random=False))
@@ -320,42 +377,57 @@ def test_pruned_search_matches_reference_on_random_systems(system):
 def test_memo_returns_what_a_fresh_search_returns(system, rng):
     s, subsets = system
     subs = [frozenset(S) for S in subsets]
-    fresh = _search.__wrapped__(s, subs)
-    shuffled = rng.sample(subs, len(subs))
-    assert canonical_set_system(s, shuffled) == fresh
-    searched = subs != [frozenset(range(s))]  # all but the pencil shortcut
-    hits = _search.cache_info().hits
-    assert canonical_set_system(s, subs) == fresh
-    assert _search.cache_info().hits == hits + searched
-    if subs:
-        # the key is a multiset: a repeated subset is a different system
-        doubled = subs + [rng.choice(subs)]
-        assert canonical_set_system(s, doubled) == _search.__wrapped__(s, doubled) != fresh
+    fresh = _plain_search(s, subs)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_searches(mp)
+        assert canonical_set_system(s, rng.sample(subs, len(subs))) == fresh
+        assert len(calls) == (len(subs) != 1)  # all but the single-subset shortcut
+        assert canonical_set_system(s, subs) == fresh
+        assert len(calls) == (len(subs) != 1)
+        if subs:
+            # the key is a multiset: a repeated subset is a different system
+            doubled = subs + [rng.choice(subs)]
+            assert canonical_set_system(s, doubled) == _plain_search(s, doubled) != fresh
 
 
-def _memo_counts(design, **kwargs):
+def _memo_counts(monkeypatch, design, **kwargs):
     import steiner_ekr as se
 
     families = se.enumerate_maximal_ekr(design, **kwargs)
-    _search.cache_clear()
+    calls = _counted_searches(monkeypatch)
     se.classify(design, families)
-    info = _search.cache_info()
-    return len(families), info.hits + info.misses, info.misses
+    return len(families), len(calls)
 
 
-def test_memo_searches_each_labelled_system_once():
+def test_memo_searches_each_labelled_system_once(monkeypatch):
     import steiner_ekr as se
 
-    # 40 point-pencils by the pencil shortcut, and 40 plane line sets that
-    # are one labelled system at the builtin labelling
-    assert _memo_counts(se.pg3_line_design(3), min_size=13) == (80, 40, 1)
+    # 40 point-pencils by the single-subset shortcut, and 40 plane line sets
+    # that are one labelled system at the builtin labelling
+    assert _memo_counts(monkeypatch, se.pg3_line_design(3), min_size=13) == (80, 1)
     # all but the 16 point-pencils are looked up; the 240 triangles add 5
-    # labelled systems, one per position of their apex
-    assert _memo_counts(se.affine_plane(4)) == (1024, 1008, 21)
-    assert _search.cache_info().maxsize is not None
+    # labelled systems, one per position of their apex, and 2 of the 21
+    # systems are leaf codes of systems searched before them
+    assert _memo_counts(monkeypatch, se.affine_plane(4)) == (1024, 19)
 
 
-def _refine_calls(monkeypatch, s, subs, leaf_forms=None):
+def test_a_system_equal_to_a_visited_leaf_code_is_not_searched(monkeypatch):
+    s, subs = SYMMETRIC_CORPUS["triples9"]
+    calls = _counted_searches(monkeypatch)
+    form = canonical_set_system(s, subs)
+    # one search, of the six covered elements relabelled in order
+    [(n, system)] = calls
+    assert n == 6 and {m for m, _ in canon._FORMS.forms} == {n}
+    codes = [code for _, code in canon._FORMS.forms if code != system]
+    assert len(codes) >= 2
+    for code in codes:
+        assert canonical_set_system(n, code) == canon._FORMS.forms[n, system]
+        # the same code with three elements in no subset: it is the same lookup
+        assert canonical_set_system(s, code) == form
+    assert len(calls) == 1
+
+
+def _refine_calls(monkeypatch, s, subs, memo):
     calls = 0
 
     def counted(*args):
@@ -364,15 +436,15 @@ def _refine_calls(monkeypatch, s, subs, leaf_forms=None):
         return _refine(*args)
 
     monkeypatch.setattr(canon, "_refine", counted)
-    _search.__wrapped__(s, subs, leaf_forms)
+    _search(s, subs, memo)
     return calls
 
 
 def test_search_tree_is_pinned_by_its_refine_calls(monkeypatch):
     import steiner_ekr as se
 
-    # the uncached _search, so that the memo stays out; the counts were recorded
-    # with the sort-based individualisation, so the tree has not moved
+    # _search with an empty memo, so that the memo stays out; the counts were
+    # recorded with the sort-based individualisation, so the tree has not moved
     pg3 = se.pg3_line_design(3)
     plane = next(
         f for f in se.enumerate_maximal_ekr(pg3, min_size=13) if len(concurrency_classes(f)[1]) > 1
@@ -386,7 +458,7 @@ def test_search_tree_is_pinned_by_its_refine_calls(monkeypatch):
         (concurrency_classes(se.triangle(affine4, off, 0)), 10),
     ]
     for (s, subs), calls in cases:
-        assert _refine_calls(monkeypatch, s, subs) == calls
+        assert _refine_calls(monkeypatch, s, _key(subs), canon._Forms()) == calls
 
 
 def _relabelled(design, seed):
@@ -400,12 +472,13 @@ def _relabelled(design, seed):
 # sha256 of the classify rows [label, size, count, code] of pg3:3 at min_size
 # 13 relabelled by random.Random(seed) for seeds 1-3, then of projective:2-5.
 # Relabelled, the 40 plane line sets of pg3:3 are 28, 24 and 26 labelled
-# systems, so the memo misses and the search runs on each; a plane's one
-# family is one system.  Recorded with the refinement that _refine_by_sort restates.
+# systems, of which one each equals a leaf code visited before it, so the
+# search runs on 27, 23 and 25; a plane's one family is one system.  Recorded
+# with the refinement that _refine_by_sort restates.
 MEMO_MISS_DIGEST = "dfd7f292e967cb2acb232bee48e2e7549fdad1772f4b7199ba68b05312c13067"
 
 
-def test_searched_codes_are_pinned_by_a_digest():
+def test_searched_codes_are_pinned_by_a_digest(monkeypatch):
     import steiner_ekr as se
 
     cases = [(_relabelled(se.pg3_line_design(3), seed), 13) for seed in (1, 2, 3)]
@@ -414,33 +487,29 @@ def test_searched_codes_are_pinned_by_a_digest():
     searched = 0
     for design, min_size in cases:
         families = se.enumerate_maximal_ekr(design, min_size=min_size)
-        _search.cache_clear()
+        calls = _counted_searches(monkeypatch)
         record.append([[t.label, t.size, count, t.code] for t, count in se.classify(design, families)])
-        searched += _search.cache_info().misses
-    assert searched == 28 + 24 + 26 + 4
+        searched += len(calls)
+    assert searched == 27 + 23 + 25 + 4
     assert hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest() == MEMO_MISS_DIGEST
 
 
-# -- the leaf memo: (s, leaf code) -> canonical form ---------------------------
+# -- visited leaf codes in the memo: (s, leaf code) -> canonical form ----------
 
 
-def _key(subsets):
-    return tuple(sorted(tuple(sorted(S)) for S in subsets))
-
-
-def _visited_codes(s, subsets):
-    """The leaf codes a pruned search visits, read from a fresh leaf memo."""
-    forms = canon._LeafForms()
-    _search.__wrapped__(s, _key(subsets), forms)
-    assert {n for n, _ in forms.forms} <= {s}
-    return {code for _, code in forms.forms}
+def _stored_systems(s, subsets):
+    """What a pruned search stores in a fresh memo: its input and the leaf codes it visits."""
+    memo = canon._Forms()
+    _search(s, _key(subsets), memo)
+    assert {n for n, _ in memo.forms} <= {s}
+    return {code for _, code in memo.forms}
 
 
 @pytest.mark.parametrize("name", list(SYMMETRIC_CORPUS))
 def test_pruned_search_visits_every_leaf_code_on_symmetric_corpus(name):
     # the hit guarantee: the prunes skip only subtrees whose codes occur elsewhere
     s, subsets = SYMMETRIC_CORPUS[name]
-    assert _visited_codes(s, subsets) == set(_leaf_codes(s, subsets))
+    assert _stored_systems(s, subsets) == set(_leaf_codes(s, subsets)) | {_key(subsets)}
 
 
 @given(_closed_systems())
@@ -449,7 +518,7 @@ def test_pruned_search_visits_every_leaf_code_on_random_systems(system):
     s, subsets = system
     codes = list(itertools.islice(_leaf_codes(s, subsets), 2001))
     assume(len(codes) <= 2000)
-    assert _visited_codes(s, subsets) == set(codes)
+    assert _stored_systems(s, subsets) == set(codes) | {_key(subsets)}
 
 
 def _permuted(subsets, perm):
@@ -463,38 +532,41 @@ def _pg3_plane():
     return concurrency_classes(next(f for f in families if len(concurrency_classes(f)[1]) > 1))
 
 
-def test_relabelled_copies_answered_by_the_leaf_memo_give_the_reference_form():
+def test_relabelled_copies_answered_at_their_first_leaf_give_the_reference_form():
     rng = random.Random(11)
     cases = [SYMMETRIC_CORPUS[name] for name in ("cycle7", "star6", "matching8", "fano", "triples9")]
     cases.append(_pg3_plane())
     for s, subsets in cases:
         reference = _reference_form(s, subsets, 10**5)
-        forms = canon._LeafForms()
-        assert _search.__wrapped__(s, _key(subsets), forms) == reference
+        memo = canon._Forms()
+        assert _search(s, _key(subsets), memo) == reference
         for _ in range(4):
             copy = _key(_permuted(subsets, rng.sample(range(s), s)))
-            assert _search.__wrapped__(s, copy, forms) == reference
+            assert _search(s, copy, memo) == reference
 
 
 def test_a_relabelled_copy_costs_one_descent(monkeypatch):
     s, subs = _pg3_plane()
-    forms = canon._LeafForms()
-    assert _refine_calls(monkeypatch, s, _key(subs), forms) == 27
-    assert len(forms.forms) == 1  # every leaf of the plane's tree has one code
+    memo = canon._Forms()
+    assert _refine_calls(monkeypatch, s, _key(subs), memo) == 27
+    # every leaf of the plane's tree has one code, stored with the input
+    assert len(set(memo.forms) - {(s, _key(subs))}) == 1
     for seed in range(5):
         perm = random.Random(seed).sample(range(s), s)
         # the root and the individualisations down to the first leaf
-        assert _refine_calls(monkeypatch, s, _key(_permuted(subs, perm)), forms) == 6
+        assert _refine_calls(monkeypatch, s, _key(_permuted(subs, perm)), memo) == 6
 
 
-def test_an_extra_isolated_element_misses_the_leaf_memo(monkeypatch):
+def test_an_extra_isolated_element_misses_the_memo(monkeypatch):
     s, subs = _pg3_plane()
-    forms = canon._LeafForms()
-    _search.__wrapped__(s, _key(subs), forms)
+    memo = canon._Forms()
+    _search(s, _key(subs), memo)
     # the same subsets on s + 1: the code is the same, the system is not
-    assert _refine_calls(monkeypatch, s + 1, _key(subs), forms) == _refine_calls(monkeypatch, s + 1, _key(subs))
-    assert _search.__wrapped__(s + 1, _key(subs), forms) == _search.__wrapped__(s + 1, _key(subs))
-    assert {n for n, _ in forms.forms} == {s, s + 1}
+    assert _refine_calls(monkeypatch, s + 1, _key(subs), memo) == _refine_calls(
+        monkeypatch, s + 1, _key(subs), canon._Forms()
+    )
+    assert _search(s + 1, _key(subs), memo) == _plain_search(s + 1, subs)
+    assert {n for n, _ in memo.forms} == {s, s + 1}
 
 
 def test_classify_of_relabelled_pg3_searches_one_plane(monkeypatch):
@@ -512,37 +584,49 @@ def test_classify_of_relabelled_pg3_searches_one_plane(monkeypatch):
     for seed in (1, 2, 3):
         design = _relabelled(se.pg3_line_design(3), seed)
         families = se.enumerate_maximal_ekr(design, min_size=13)
-        _search.cache_clear()
-        canon._LEAF_FORMS.clear()
+        searched = _counted_searches(monkeypatch)
         calls = 0
         se.classify(design, families)
-        totals.append((_search.cache_info().misses, calls))
-    # 28, 24 and 26 labelled systems as in MEMO_MISS_DIGEST: one full search
-    # of 27 refinements, then one descent of 6 for each other system
-    assert totals == [(28, 27 + 27 * 6), (24, 27 + 23 * 6), (26, 27 + 25 * 6)]
+        totals.append((len(searched), calls))
+    # 28, 24 and 26 labelled systems as in MEMO_MISS_DIGEST, one of each equal
+    # to a leaf code met before: one full search of 27 refinements, then one
+    # descent of 6 for each other system searched
+    assert totals == [(27, 27 + 26 * 6), (23, 27 + 22 * 6), (25, 27 + 24 * 6)]
 
 
-def test_leaf_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(canon, "_LEAF_FORMS_ITEMS", 200)
-    forms = canon._LeafForms()
+def _stored_items(memo):
+    return sum(len(c) + sum(map(len, c)) for _, c in memo.forms)
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(canon, "_FORMS_ITEMS", 200)
+    memo = canon._Forms()
     rng = random.Random(5)
+    systems = []
     for s in range(6, 16):
-        subsets = [frozenset(rng.sample(range(s), 3)) for _ in range(s)]
-        form = _search.__wrapped__(s, _key(subsets), forms)
-        assert form == _search.__wrapped__(s, _key(subsets))
-        assert forms.items == sum(len(c) + sum(map(len, c)) for _, c in forms.forms) <= 200
-    assert forms.items > 150
-    # the oldest codes went first: the last system's form, one of its leaf codes, stays
-    assert (15, form) in forms.forms
-    assert min(n for n, _ in forms.forms) > 6
-    # a code larger than the bound is not kept at all
-    big = [frozenset(range(i, i + 10)) for i in range(30)]
-    _search.__wrapped__(40, _key(big), forms)
-    assert forms.items <= 200
-    assert 40 not in {n for n, _ in forms.forms}
-    forms.clear()
-    assert forms.items == 0 and not forms.forms
-    assert canon._LEAF_FORMS.items <= canon._LEAF_FORMS_ITEMS == 200
+        subsets = _key(frozenset(rng.sample(range(s), 3)) for _ in range(s))
+        systems.append((s, subsets))
+        form = _search(s, subsets, memo)
+        assert form == _plain_search(s, subsets)
+        assert memo.items == _stored_items(memo) <= 200
+        # the input is stored with the leaf codes, as the newest entry
+        assert list(memo.forms)[-1] == (s, subsets) and memo.forms[s, subsets] == form
+    assert memo.items > 150
+    # the oldest entries went first: the last system's form, one of its leaf codes, stays
+    assert (15, form) in memo.forms
+    assert min(n for n, _ in memo.forms) > 6
+    # a system larger than the bound is not kept at all, nor are its codes
+    big = _key(frozenset(range(i, i + 10)) for i in range(30))
+    _search(40, big, memo)
+    assert memo.items <= 200
+    assert 40 not in {n for n, _ in memo.forms}
+    # canonical_set_system's inputs and codes share the one bound
+    calls = _counted_searches(monkeypatch)
+    for s, subsets in systems:
+        canonical_set_system(s, subsets)
+        assert canon._FORMS.items == _stored_items(canon._FORMS) <= 200
+    assert len(calls) == len(systems)
+    assert calls[-1] in canon._FORMS.forms
 
 
 def test_large_pencil_is_fast():
@@ -588,7 +672,7 @@ def test_closed_forms_equal_the_search(s):
     for subs, form in cases:
         for order in _class_orders(subs, rng):
             assert canonical_set_system(s, order) == form
-            assert _search.__wrapped__(s, order) == form
+            assert _search(s, tuple(map(tuple, order)), canon._Forms()) == form
             if s <= 6:
                 assert _reference_form(s, order, 10**4) == form
             else:
